@@ -93,6 +93,8 @@ def parse_events(text: str | bytes, sensor_size: tuple[int, int] | None = None) 
     for lineno, (x, y, t, p) in _iter_rows(text, 4, "event"):
         if p not in (0, 1):
             raise DataError(f"line {lineno}: polarity must be 0 or 1, got {p}")
+        if t < 0:
+            raise DataError(f"line {lineno}: negative timestamp {t}")
         if prev_t is not None and t < prev_t:
             raise DataError(f"line {lineno}: timestamps must be non-decreasing")
         if x < 0 or y < 0:
@@ -121,6 +123,8 @@ def parse_audio_events(text: str, num_units: int | None = None) -> AudioSpikeStr
     for lineno, (x, t) in _iter_rows(text, 2, "spike"):
         if x < 0:
             raise DataError(f"line {lineno}: negative unit index")
+        if t < 0:
+            raise DataError(f"line {lineno}: negative timestamp {t}")
         if prev_t is not None and t < prev_t:
             raise DataError(f"line {lineno}: timestamps must be non-decreasing")
         prev_t = t

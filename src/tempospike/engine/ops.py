@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import Array, EngineError, ShapeError, Tensor, record
+from .tensor import Array, EngineError, ShapeError, Tensor, active_tape, record
 
 _HALF_PI = math.pi / 2.0
 
@@ -160,19 +160,16 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     return record((x, kernel), out, back)
 
 
-def bntt_step(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array,
-              running_var: Array, training: bool, momentum: float = 0.1,
-              eps: float = 1e-5) -> Tensor:
-    """Batch normalization with statistics and affine parameters owned by one
-    timestep. ``running_mean``/``running_var`` are per-timestep buffers mutated
-    in place during training and consumed at inference."""
+def _batch_norm(x: Array, gamma: Array, beta: Array, running_mean: Array,
+                running_var: Array, training: bool, momentum: float, eps: float):
+    """Normalize one timestep's slice; returns the output and its backward."""
     axes = (0,) if x.ndim == 2 else (0, 2, 3)
     shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
     if training:
         if x.shape[0] < 2:
             raise EngineError("batch normalization in training mode needs batch size >= 2")
-        mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mu = x.mean(axis=axes)
+        var = x.var(axis=axes)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
@@ -182,14 +179,14 @@ def bntt_step(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array,
         var = running_var
 
     ivar = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu.reshape(shape)) * ivar.reshape(shape)
-    out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
+    xhat = (x - mu.reshape(shape)) * ivar.reshape(shape)
+    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
     m = x.size // gamma.size
 
     def back(g):
         gbeta = g.sum(axis=axes)
         ggamma = (g * xhat).sum(axis=axes)
-        dxhat = g * gamma.data.reshape(shape)
+        dxhat = g * gamma.reshape(shape)
         if training:
             gx = (ivar.reshape(shape) / m) * (
                 m * dxhat
@@ -200,7 +197,53 @@ def bntt_step(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array,
             gx = dxhat * ivar.reshape(shape)
         return gx, ggamma, gbeta
 
+    return out, back
+
+
+def bntt_step(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array,
+              running_var: Array, training: bool, momentum: float = 0.1,
+              eps: float = 1e-5) -> Tensor:
+    """Batch normalization with statistics and affine parameters owned by one
+    timestep. ``running_mean``/``running_var`` are per-timestep buffers mutated
+    in place during training and consumed at inference."""
+    out, slice_back = _batch_norm(x.data, gamma.data, beta.data, running_mean, running_var,
+                                  training, momentum, eps)
+
+    def back(g):  # a closure of this function, so the tape node is named bntt_step
+        return slice_back(g)
+
     return record((x, gamma, beta), out, back)
+
+
+def bntt_seq(x: Tensor, gammas: list[Tensor], betas: list[Tensor], running_mean: Array,
+             running_var: Array, steps: int, training: bool, momentum: float = 0.1,
+             eps: float = 1e-5) -> Tensor:
+    """``bntt_step`` over a whole sequence as one node.
+
+    ``x`` holds ``steps`` consecutive timestep blocks of rows, [steps * batch,
+    ...]; block t is normalized with its own statistics, ``gammas[t]``,
+    ``betas[t]`` and row t of the [steps, channels] running buffers.
+    """
+    xs = x.data.reshape((steps, -1) + x.shape[1:])
+    out = np.empty_like(xs)
+    backs = []
+    for t in range(steps):
+        out[t], slice_back = _batch_norm(xs[t], gammas[t].data, betas[t].data,
+                                         running_mean[t], running_var[t], training,
+                                         momentum, eps)
+        backs.append(slice_back)
+
+    def back(g):
+        gs = g.reshape(xs.shape)
+        gx = np.empty_like(xs)
+        ggammas, gbetas = [], []
+        for t, slice_back in enumerate(backs):
+            gx[t], ggamma, gbeta = slice_back(gs[t])
+            ggammas.append(ggamma)
+            gbetas.append(gbeta)
+        return (gx.reshape(x.shape), *ggammas, *gbetas)
+
+    return record((x, *gammas, *betas), out.reshape(x.shape), back)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -227,10 +270,25 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"affine shapes disagree: {x.shape} @ {w.shape}")
 
-    def back(g):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+    out = x.data @ w.data
+    out += b.data
 
-    return record((x, w, b), x.data @ w.data + b.data, back)
+    def back(g):
+        gx = g @ w.data.T if x.requires_grad else None
+        return gx, x.data.T @ g, g.sum(axis=0)
+
+    return record((x, w, b), out, back)
+
+
+def _lif_membrane(membrane: Array, drive: Array, prev_spikes: Array, leak: Array,
+                  threshold: Array, reset_mode: str) -> Array:
+    """The membrane arithmetic of one step, shared by ``lif_update`` and
+    ``lif_scan`` so both round identically."""
+    if reset_mode == "soft":
+        return leak * membrane + drive - threshold * prev_spikes
+    if reset_mode == "hard":
+        return leak * (membrane * (1.0 - prev_spikes)) + drive
+    raise ValueError(f"unknown reset mode {reset_mode!r}")
 
 
 def lif_update(membrane: Tensor, drive: Tensor, prev_spikes: Tensor,
@@ -244,9 +302,8 @@ def lif_update(membrane: Tensor, drive: Tensor, prev_spikes: Tensor,
     """
     lk = leak.data
     th = threshold.data
+    out = _lif_membrane(membrane.data, drive.data, prev_spikes.data, lk, th, reset_mode)
     if reset_mode == "soft":
-        out = lk * membrane.data + drive.data - th * prev_spikes.data
-
         def back(g):
             g_mem = g * lk
             g_prev = -g * th
@@ -254,20 +311,125 @@ def lif_update(membrane: Tensor, drive: Tensor, prev_spikes: Tensor,
             g_th = _sum_to_scalar(-g * prev_spikes.data, threshold.shape)
             return g_mem, g, g_prev, g_leak, g_th
 
-    elif reset_mode == "hard":
-        retained = membrane.data * (1.0 - prev_spikes.data)
-        out = lk * retained + drive.data
-
+    else:
         def back(g):
+            retained = membrane.data * (1.0 - prev_spikes.data)
             g_mem = g * lk * (1.0 - prev_spikes.data)
             g_prev = -g * lk * membrane.data
             g_leak = _sum_to_scalar(g * retained, leak.shape)
             g_th = np.zeros(threshold.shape)
             return g_mem, g, g_prev, g_leak, g_th
 
-    else:
-        raise ValueError(f"unknown reset mode {reset_mode!r}")
     return record((membrane, drive, prev_spikes, leak, threshold), out, back)
+
+
+def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_mode: str,
+             cfg: SurrogateConfig, spike_mode: str = "hard") -> Tensor:
+    """LIF dynamics over a whole sequence as one node; returns the spikes.
+
+    ``drive`` holds ``steps`` consecutive timestep blocks of rows, [steps *
+    batch, ...], and the output has the same layout. Each step is
+    ``lif_update`` followed by ``normalized_drive`` and ``spike`` with the same
+    rounding, starting from zero membrane and spikes. The backward pass is a
+    reverse scan that carries the membrane and spike gradients one step back
+    and does all elementwise work on one step's slice at a time, so it stays
+    in cache; the leak and threshold gradients are accumulated per step.
+    """
+    if spike_mode not in ("hard", "soft", "soft-forward"):
+        raise ValueError(f"unknown spike mode {spike_mode!r}")
+    lk = leak.data
+    th = threshold.data
+    alpha = cfg.alpha_surr
+    d = drive.data.reshape(steps, -1)
+    # membranes are kept for the backward pass only when a tape records it
+    u_seq = np.empty_like(d) if active_tape() is not None else None
+    o_seq = np.empty_like(d)
+    u = o = np.zeros(d.shape[1])
+    for t in range(steps):
+        u = _lif_membrane(u, d[t], o, lk, th, reset_mode)
+        if u_seq is not None:
+            u_seq[t] = u
+        z = u / th - 1.0
+        o_seq[t] = (z > 0) if spike_mode == "hard" else soft_spike_forward(z, alpha)
+        o = o_seq[t]
+
+    def back(g):
+        gs = g.reshape(d.shape)
+        gd = np.empty_like(d)
+        inv_th = 1.0 / th
+        g_next = None  # membrane gradient of step t + 1
+        g_leak = dot_zu = dot_reset = 0.0
+        for t in range(steps - 1, -1, -1):
+            u = u_seq[t]
+            g_out = gs[t]
+            if g_next is not None:
+                # step t + 1 read this step's membrane and spikes
+                if reset_mode == "soft":
+                    g_leak += np.vdot(g_next, u)
+                    dot_reset += np.vdot(g_next, o_seq[t])
+                    g_out = g_out - th * g_next
+                    carry = lk * g_next
+                else:
+                    keep = 1.0 - o_seq[t]
+                    g_leak += np.vdot(g_next, u * keep)
+                    carry = lk * g_next
+                    g_out = g_out - carry * u
+                    carry *= keep
+            z = u * inv_th
+            z -= 1.0
+            gz = g_out * surrogate_grad(z, alpha)
+            dot_zu += np.vdot(gz, u)
+            g_next = gz * inv_th
+            if t < steps - 1:
+                g_next += carry
+            gd[t] = g_next
+        g_th = -dot_zu * inv_th * inv_th - dot_reset
+        return (gd.reshape(drive.shape), np.asarray(g_leak).reshape(leak.shape),
+                np.asarray(g_th).reshape(threshold.shape))
+
+    return record((drive, leak, threshold), o_seq.reshape(drive.shape), back)
+
+
+def li_scan(drive: Tensor, leak: Tensor, steps: int) -> Tensor:
+    """Leaky accumulator over a whole sequence as one node: ``decay_add`` per
+    step from a zero state, with ``drive`` and output laid out as in
+    ``lif_scan``."""
+    lk = leak.data
+    d = drive.data.reshape(steps, -1)
+    acc_seq = np.empty_like(d)
+    acc = np.zeros(d.shape[1])
+    for t in range(steps):
+        acc = acc_seq[t] = lk * acc + d[t]
+
+    def back(g):
+        gs = g.reshape(d.shape)
+        gd = np.empty_like(d)
+        ga = None
+        g_leak = 0.0
+        for t in range(steps - 1, -1, -1):
+            ga = gs[t] if ga is None else gs[t] + ga * lk
+            gd[t] = ga
+            if t:
+                g_leak += np.vdot(ga, acc_seq[t - 1])
+        return gd.reshape(drive.shape), np.asarray(g_leak).reshape(leak.shape)
+
+    return record((drive, leak), acc_seq.reshape(drive.shape), back)
+
+
+def delay(x: Tensor, rows: int) -> Tensor:
+    """Shift along the leading axis by ``rows``, zero-filled at the start:
+    out[i] = x[i - rows]. With timestep blocks of ``batch`` rows, a delay of
+    dt steps is a shift by dt * batch rows."""
+    n = x.shape[0]
+    out = np.zeros_like(x.data)
+    out[rows:] = x.data[:n - rows]
+
+    def back(g):
+        gx = np.zeros_like(g)
+        gx[:n - rows] = g[rows:]
+        return (gx,)
+
+    return record((x,), out, back)
 
 
 def normalized_drive(membrane: Tensor, threshold: Tensor) -> Tensor:

@@ -9,7 +9,7 @@ through the optimizer, which rewrites ``.data`` in place between tapes.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -104,6 +104,9 @@ class Tensor:
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
 
+    def __getitem__(self, key) -> "Tensor":
+        return index(self, key)
+
 
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -129,6 +132,9 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        # global L2 norm of every gradient the last backward sweep computed,
+        # activations included, although only leaf gradients are returned
+        self.grad_norm: float | None = None
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -138,36 +144,34 @@ class Tape:
         _TAPE_STACK.pop()
 
     def backward(self, loss: Tensor) -> dict[Tensor, Array]:
-        """Gradients of a scalar loss w.r.t. every tensor that requires them.
+        """Gradients of a scalar loss w.r.t. every leaf tensor that requires them.
 
+        Intermediate gradients are dropped as soon as their node has been
+        processed, so the result holds leaves (parameters, inputs) only.
         Deterministic: the same tape always accumulates in the same order.
         """
         if loss.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
-        produced = {id(node.output) for node in self.nodes}
-        if id(loss) not in produced:
+        if not any(node.output is loss for node in self.nodes):
             raise EngineError("loss tensor was not produced on this tape")
         grads: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
+        sq = 0.0
         for node in reversed(self.nodes):
-            gout = grads.get(node.output)
+            gout = grads.pop(node.output, None)
             if gout is None:
                 continue
+            sq += float(np.vdot(gout, gout))
             for tensor, gin in zip(node.inputs, node.backward(gout)):
-                if gin is None:
-                    continue
-                if not tensor.requires_grad and id(tensor) not in produced:
+                if gin is None or not tensor.requires_grad:
                     continue
                 acc = grads.get(tensor)
                 grads[tensor] = gin if acc is None else acc + gin
+        self.grad_norm = math.sqrt(sq + sum(float(np.vdot(g, g)) for g in grads.values()))
         return grads
 
 
 def active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
-def backward(loss: Tensor, tape: Tape) -> dict[Tensor, Array]:
-    return tape.backward(loss)
 
 
 def record(inputs: Sequence[Tensor], out_data: Array,
@@ -261,10 +265,27 @@ def reshape(a: Tensor, shape) -> Tensor:
     return record((a,), a.data.reshape(shape), back)
 
 
-def add_n(tensors: Iterable[Tensor]) -> Tensor:
-    """Sum a sequence of same-shaped tensors."""
-    tensors = list(tensors)
-    out = tensors[0]
-    for t in tensors[1:]:
-        out = add(out, t)
-    return out
+def index(a: Tensor, key) -> Tensor:
+    """Basic indexing, e.g. one timestep of a [T, batch, ...] sequence."""
+    def back(g):
+        ga = np.zeros_like(a.data)
+        ga[key] = g
+        return (ga,)
+
+    return record((a,), a.data[key], back)
+
+
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Stack same-shaped tensors along a new leading axis."""
+    def back(g):
+        return tuple(g)
+
+    return record(tuple(tensors), np.stack([t.data for t in tensors]), back)
+
+
+def sum_steps(a: Tensor) -> Tensor:
+    """Sum over the leading (time) axis."""
+    def back(g):
+        return (np.broadcast_to(g, a.shape),)
+
+    return record((a,), a.data.sum(axis=0), back)

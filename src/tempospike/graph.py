@@ -5,9 +5,12 @@ A network is an ordered stack of layers (index 0 is the network input) plus a
 set of skip edges. Each edge carries its origin, destination, an explicit
 delay in timesteps, a merge operator (channel concatenation or elementwise
 addition), and an optional learnable blend between the origin's current and
-delayed activations. Delayed payloads are served from per-layer ring buffers;
-steps before the start of the sequence read zeros, and a buffer read from the
-future is a hard error, which keeps the unrolled graph causal by construction.
+delayed activations. Graphs with forward edges only run layer by layer over
+the whole sequence, where a delayed payload is the origin's sequence shifted
+in time. Graphs with a backward edge unroll step by step and serve delayed
+payloads from per-layer ring buffers. Either way, steps before the start of
+the sequence read zeros, and a buffer read from the future is a hard error,
+which keeps the graph causal by construction.
 """
 
 from __future__ import annotations
@@ -22,13 +25,18 @@ from .engine import (
     SurrogateConfig,
     Tensor,
     affine,
+    bntt_seq,
+    bntt_step,
     concat,
     conv2d,
-    bntt_step,
+    delay,
+    li_scan,
+    lif_scan,
     relu,
     reshape,
     select_channels,
     sigmoid,
+    stack,
 )
 from .neuron import LifParams, LifState, leaky_integrate, lif_step
 
@@ -283,6 +291,8 @@ def shortcut_apply(ws: ShortcutMatrix, x: Tensor) -> Tensor:
         raise GraphError(
             f"shortcut expects {ws.source_channels} channels, got {x.shape[1]}"
         )
+    if ws.selection == tuple(range(ws.source_channels)):
+        return x  # the identity selection would only copy
     return select_channels(x, ws.selection, axis=1)
 
 
@@ -355,7 +365,10 @@ class SpikeStats:
 
 @dataclass
 class ForwardResult:
-    outputs: list[Tensor]
+    """``outputs`` is the final layer's whole sequence, [T, batch, ...];
+    ``outputs[t]`` is step t."""
+
+    outputs: Tensor
     stats: SpikeStats
 
 
@@ -448,14 +461,17 @@ class Network:
 def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
                 spike_mode: str = "hard", surr: SurrogateConfig | None = None,
                 dropout: float = 0.0, rng: np.random.Generator | None = None,
-                collect: dict[int, list[np.ndarray]] | None = None) -> ForwardResult:
-    """Unroll the network over the full sequence.
+                collect: dict[int, np.ndarray | None] | None = None) -> ForwardResult:
+    """Run the network over the full sequence.
 
-    ``x`` has shape [T, batch, ...input]. Every layer consumes its predecessor's
-    current output merged with any delayed skip payloads; buffers are written as
-    soon as a layer's step completes, so within one step the layer order stays
-    the plain feed-forward order and backward edges only ever see the past.
-    ``collect`` maps layer indices to lists that receive each step's raw output.
+    ``x`` has shape [T, batch, ...input]. A graph whose edges all point
+    forward runs layer-major: each layer processes the whole sequence at once,
+    and a delayed skip is its origin's sequence shifted by ``delta_t`` steps.
+    A graph with a backward edge unrolls time-major, one step of every layer
+    at a time, because the edge feeds a layer from a later one. Both give the
+    same result up to the rounding of batched matrix products; dropout masks
+    are drawn in a different order. ``collect`` maps layer indices to slots
+    that receive that layer's raw output sequence as a [T, batch, ...] array.
     """
     spec = net.spec
     if x.shape[0] != spec.T:
@@ -467,7 +483,131 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
     training = mode == "train"
     if training and dropout > 0.0 and rng is None:
         raise ValueError("training with dropout needs an rng")
-    surr = surr or SurrogateConfig()
+    execute = _run_layer_major if all(e.is_forward for e in spec.tskips) else _run_time_major
+    return execute(net, x, training, spike_mode, surr or SurrogateConfig(),
+                   dropout if training else 0.0, rng, collect)
+
+
+def _spike_stats(net: Network, batch: int) -> SpikeStats:
+    stats = SpikeStats(samples=batch, T=net.spec.T)
+    for i, layer in enumerate(net.spec.layers, start=1):
+        if layer.activation == "lif":
+            stats.track(i, _feature_count(net.shapes[i]))
+    return stats
+
+
+def _flatten_for(layer: LayerSpec, x: Tensor) -> Tensor:
+    return reshape(x, (x.shape[0], -1)) if layer.kind == "dense" and x.ndim > 2 else x
+
+
+def _resize(net: Network, j: int, edge: TSkip, payload: Tensor, ff: Tensor) -> Tensor:
+    """Map one skip payload onto the destination's feed-forward input ``ff``
+    through the edge's fixed channel selection."""
+    layer = net.spec.layers[edge.dest - 1]
+    payload = _flatten_for(layer, payload)
+    if layer.kind == "conv2d" and payload.shape[2:] != ff.shape[2:]:
+        raise GraphError(
+            f"edge {edge.origin}->{edge.dest} (dt={edge.delta_t}): spatial "
+            f"mismatch {payload.shape[2:]} vs {ff.shape[2:]}")
+    return shortcut_apply(net.shortcuts[j], payload)
+
+
+def _merge(edge: TSkip, merged: Tensor, resized: Tensor) -> Tensor:
+    return concat(merged, resized, axis=1) if edge.merge == "concat" else merged + resized
+
+
+def _blend(net: Network, j: int, now: Tensor, delayed: Tensor) -> Tensor:
+    a = sigmoid(net.params[f"E{j}.alpha_raw"])
+    return a * now + (1.0 - a) * delayed
+
+
+def _drive(net: Network, l: int, merged: Tensor, dropout: float,
+           rng: np.random.Generator | None) -> Tensor:
+    """Dropout on the merged input, then the layer's weights."""
+    layer = net.spec.layers[l - 1]
+    if dropout:
+        keep = (rng.random(merged.shape) >= dropout) / (1.0 - dropout)
+        merged = merged * Tensor(keep)
+    if layer.kind == "dense":
+        return affine(merged, net.params[f"L{l}.w"], net.params[f"L{l}.b"])
+    return conv2d(merged, net.params[f"L{l}.w"], layer.stride) + net.params[f"L{l}.b"]
+
+
+def _run_layer_major(net: Network, x: np.ndarray, training: bool, spike_mode: str,
+                     surr: SurrogateConfig, dropout: float, rng: np.random.Generator | None,
+                     collect: dict[int, np.ndarray | None] | None) -> ForwardResult:
+    """Each layer over the whole sequence; only for graphs without backward
+    edges. Sequences are [T * batch, ...] arrays of timestep blocks."""
+    spec = net.spec
+    T, batch = x.shape[:2]
+    stats = _spike_stats(net, batch)
+    last_use = {i: i + 1 for i in range(spec.depth)}
+    for e in spec.tskips:
+        last_use[e.origin] = max(last_use[e.origin], e.dest)
+    seqs: list[Tensor | None] = [Tensor(x.reshape((T * batch,) + x.shape[2:]))]
+    for l, layer in enumerate(spec.layers, start=1):
+        h = _layer_sequence(net, l, seqs, T, batch, training, spike_mode, surr, dropout, rng)
+        if layer.activation == "lif":
+            stats.add(l, float(h.data.sum()))
+        seqs.append(h)
+        if collect is not None and l in collect:
+            collect[l] = h.data.reshape((T, batch) + net.shapes[l])
+        for i, last in last_use.items():
+            if last == l:
+                seqs[i] = None  # without a tape, this frees the sequence
+    out = seqs[-1]
+    return ForwardResult(outputs=reshape(out, (T, batch) + out.shape[1:]), stats=stats)
+
+
+def _layer_sequence(net: Network, l: int, seqs: list[Tensor | None], T: int, batch: int,
+                    training: bool, spike_mode: str, surr: SurrogateConfig, dropout: float,
+                    rng: np.random.Generator | None) -> Tensor:
+    """Layer ``l``'s output sequence from the sequences of earlier layers."""
+    spec = net.spec
+    layer = spec.layers[l - 1]
+    # the merged input stays unnamed: without a tape it is freed before the scan
+    drive = _drive(net, l, _sequence_input(net, l, seqs, batch), dropout, rng)
+    if spec.bntt and layer.activation == "lif":
+        drive = bntt_seq(drive, [net.params[f"L{l}.bntt_g{t}"] for t in range(T)],
+                         [net.params[f"L{l}.bntt_b{t}"] for t in range(T)],
+                         net.state[f"L{l}.bntt_mean"], net.state[f"L{l}.bntt_var"],
+                         T, training)
+    if layer.activation == "lif":
+        p = net.lif_params(l)
+        return lif_scan(drive, p.leak, p.threshold, T, p.reset_mode, surr, spike_mode)
+    if layer.activation == "li":
+        return li_scan(drive, net.params[f"L{l}.leak"], T)
+    if layer.activation == "relu":
+        return relu(drive)
+    return drive
+
+
+def _sequence_input(net: Network, l: int, seqs: list[Tensor | None], batch: int) -> Tensor:
+    """Layer ``l``'s feed-forward input merged with its skip payloads."""
+    ff = _flatten_for(net.spec.layers[l - 1], seqs[l - 1])
+    merged = ff
+    for j, edge in enumerate(net.spec.tskips):
+        if edge.dest != l:
+            continue
+        # selecting channels first keeps the shifted copy narrow; both only
+        # move values, so the order does not change the result
+        now = _resize(net, j, edge, seqs[edge.origin], ff)
+        payload = delay(now, edge.delta_t * batch) if edge.delta_t else now
+        if edge.alpha:
+            payload = _blend(net, j, now, payload)
+        merged = _merge(edge, merged, payload)
+    return merged
+
+
+def _run_time_major(net: Network, x: np.ndarray, training: bool, spike_mode: str,
+                    surr: SurrogateConfig, dropout: float, rng: np.random.Generator | None,
+                    collect: dict[int, np.ndarray | None] | None) -> ForwardResult:
+    """Unroll step by step over ring buffers. Every layer consumes its
+    predecessor's current output merged with any delayed skip payloads;
+    buffers are written as soon as a layer's step completes, so within one
+    step the layer order stays the plain feed-forward order and backward
+    edges only ever see the past."""
+    spec = net.spec
     batch = x.shape[1]
     depth = spec.depth
 
@@ -484,15 +624,17 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
 
     lif_states: dict[int, LifState] = {}
     li_potentials: dict[int, Tensor] = {}
-    stats = SpikeStats(samples=batch, T=spec.T)
+    stats = _spike_stats(net, batch)
     for i, layer in enumerate(spec.layers, start=1):
         shape = (batch,) + net.shapes[i]
         if layer.activation == "lif":
             lif_states[i] = LifState.zeros(shape)
-            stats.track(i, _feature_count(net.shapes[i]))
         elif layer.activation == "li":
             li_potentials[i] = Tensor(np.zeros(shape))
 
+    if collect is not None:
+        for l in collect:
+            collect[l] = np.empty((spec.T, batch) + net.shapes[l])
     outputs: list[Tensor] = []
     for t in range(spec.T):
         current: list[Tensor | None] = [None] * (depth + 1)
@@ -501,10 +643,7 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
             buffers[0].write(t, current[0])
         for l in range(1, depth + 1):
             layer = spec.layers[l - 1]
-            ff = current[l - 1]
-            if layer.kind == "dense" and ff.ndim > 2:
-                ff = reshape(ff, (batch, -1))
-            merged = ff
+            merged = _flatten_for(layer, current[l - 1])
             for j, edge in edges_into[l]:
                 delayed = buffers[edge.origin].read(t - edge.delta_t)
                 if edge.alpha:
@@ -512,27 +651,9 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
                     # so their "current" term is the freshest buffered step
                     now = current[edge.origin] if edge.is_forward \
                         else buffers[edge.origin].read(t - 1)
-                    a = sigmoid(net.params[f"E{j}.alpha_raw"])
-                    payload = a * now + (1.0 - a) * delayed
-                else:
-                    payload = delayed
-                if layer.kind == "dense" and payload.ndim > 2:
-                    payload = reshape(payload, (batch, -1))
-                if layer.kind == "conv2d" and payload.shape[2:] != merged.shape[2:]:
-                    raise GraphError(
-                        f"edge {edge.origin}->{edge.dest} (dt={edge.delta_t}): spatial "
-                        f"mismatch {payload.shape[2:]} vs {merged.shape[2:]}")
-                resized = shortcut_apply(net.shortcuts[j], payload)
-                merged = concat(merged, resized, axis=1) if edge.merge == "concat" \
-                    else merged + resized
-            if training and dropout > 0.0:
-                keep = (rng.random(merged.shape) >= dropout) / (1.0 - dropout)
-                merged = merged * Tensor(keep)
-            if layer.kind == "dense":
-                drive = affine(merged, net.params[f"L{l}.w"], net.params[f"L{l}.b"])
-            else:
-                drive = conv2d(merged, net.params[f"L{l}.w"], layer.stride) \
-                    + net.params[f"L{l}.b"]
+                    delayed = _blend(net, j, now, delayed)
+                merged = _merge(edge, merged, _resize(net, j, edge, delayed, merged))
+            drive = _drive(net, l, merged, dropout, rng)
             if spec.bntt and layer.activation == "lif":
                 drive = bntt_step(drive, net.params[f"L{l}.bntt_g{t}"],
                                   net.params[f"L{l}.bntt_b{t}"],
@@ -553,11 +674,11 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
                 h = drive
             current[l] = h
             if collect is not None and l in collect:
-                collect[l].append(h.data)
+                collect[l][t] = h.data
             if l in buffers:
                 buffers[l].write(t, h)
         outputs.append(current[depth])
-    return ForwardResult(outputs=outputs, stats=stats)
+    return ForwardResult(outputs=stack(outputs), stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -112,10 +112,10 @@ def sample(space: SearchSpace, rng: np.random.Generator,
                       "the budget may be infeasible")
 
 
-def _binarize(outputs_over_time: list[np.ndarray]) -> np.ndarray:
-    """Stack per-step layer outputs [t][B, ...] into (B, T * features) bits."""
-    flat = [o.reshape(o.shape[0], -1) for o in outputs_over_time]
-    return (np.concatenate(flat, axis=1) > 0).astype(np.float64)
+def _binarize(seq: np.ndarray) -> np.ndarray:
+    """Flatten a layer's [T, B, ...] output sequence into (B, T * features)
+    bits, step-major within each row."""
+    return np.moveaxis(seq > 0, 0, 1).reshape(seq.shape[1], -1).astype(np.float64)
 
 
 def sahd_kernel(layer_trains: list[np.ndarray]) -> tuple[np.ndarray, bool]:
@@ -149,9 +149,9 @@ def sahd_score(spec: ArchSpec, probe_batch: np.ndarray, seed: int = 0) -> Candid
     lif_layers = [i for i, l in enumerate(spec.layers, start=1) if l.activation == "lif"]
     if not lif_layers:
         raise SearchError("architecture has no spiking layers to score")
-    per_layer: dict[int, list[np.ndarray]] = {i: [] for i in lif_layers}
+    per_layer: dict[int, np.ndarray | None] = {i: None for i in lif_layers}
     run_forward(net, probe_batch, mode="eval", collect=per_layer)
-    trains = [_binarize(per_layer[l]) for l in sorted(per_layer)]
+    trains = [_binarize(per_layer.pop(l)) for l in sorted(per_layer)]
     kernel, degenerate = sahd_kernel(trains)
     b = kernel.shape[0]
     sign, logdet = np.linalg.slogdet(kernel + KERNEL_EPS * np.eye(b))

@@ -20,10 +20,10 @@ from .engine import (
     SurrogateConfig,
     Tape,
     Tensor,
-    add_n,
     cross_entropy,
     mse,
     spatial_mean,
+    sum_steps,
 )
 from .graph import (
     ArchSpec,
@@ -35,9 +35,8 @@ from .graph import (
     spec_to_dict,
     validate,
 )
-from .neuron import clamp_params
+from .neuron import LEAK_MAX, LEAK_MIN, clamp_params
 from .data import Dataset
-from .metrics import accuracy
 
 
 class TrainError(Exception):
@@ -126,12 +125,13 @@ def adam_step(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
     return state
 
 
-def clip_grads(grads: dict[Tensor, np.ndarray], max_norm: float) -> float:
-    """Global-norm gradient clipping; returns the pre-clip norm."""
-    sq = 0.0
-    for g in grads.values():
-        sq += float(np.sum(np.asarray(g) ** 2))
-    norm = math.sqrt(sq)
+def clip_grads(grads: dict[Tensor, np.ndarray], max_norm: float,
+               norm: float | None = None) -> float:
+    """Global-norm gradient clipping; returns the pre-clip norm. ``norm``
+    defaults to the norm of ``grads``; training passes the norm of its whole
+    backward sweep (``Tape.grad_norm``)."""
+    if norm is None:
+        norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     if norm > max_norm > 0:
         scale = max_norm / norm
         for t in list(grads):
@@ -196,10 +196,10 @@ class EpochRecord:
 METRICS_HEADER = "epoch,split,loss,accuracy,spike_rate,lr"
 
 
-def readout_logits(outputs: list[Tensor]) -> Tensor:
-    """Sum the final layer's potentials over the window; spatial dims, if any,
-    are averaged away."""
-    return spatial_mean(add_n(outputs))
+def readout_logits(outputs: Tensor) -> Tensor:
+    """Sum the final layer's [T, batch, ...] potentials over the window;
+    spatial dims, if any, are averaged away."""
+    return spatial_mean(sum_steps(outputs))
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator | None):
@@ -287,13 +287,13 @@ def train(spec: ArchSpec, train_ds: Dataset, cfg: TrainConfig,
                 if not math.isfinite(batch_loss.item()):
                     raise DivergenceError(
                         f"loss became non-finite at epoch {epoch}, iteration {iteration}")
-                clip_grads(grads, cfg.grad_clip)
+                clip_grads(grads, cfg.grad_clip, tape.grad_norm)
                 adam_step(net.params, grads, adam, lr)
                 for i, layer in enumerate(spec.layers, start=1):
                     if layer.activation == "lif":
                         clamp_params(net.lif_params(i))
                     elif layer.activation == "li":
-                        np.clip(net.params[f"L{i}.leak"].data, 1e-3, 1.0 - 1e-3,
+                        np.clip(net.params[f"L{i}.leak"].data, LEAK_MIN, LEAK_MAX,
                                 out=net.params[f"L{i}.leak"].data)
                 epoch_loss += batch_loss.item() * len(idx)
                 epoch_hits += int((logits.data.argmax(axis=1) == yb).sum())

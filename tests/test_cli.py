@@ -73,6 +73,13 @@ class TestTrain:
                      "--epochs", "1", "--out", str(tmp_path / "r")])
         assert code == EXIT_VALIDATION
 
+    def test_negative_timestamp_in_data_exits_2(self, tmp_path, tiny_data, tiny_spec):
+        sample = tiny_data / "train" / "sample_00000.csv"
+        sample.write_text("0,-1\n" + sample.read_text())
+        code = main(["train", "--spec", str(tiny_spec), "--data", str(tiny_data / "train"),
+                     "--epochs", "1", "--out", str(tmp_path / "r")])
+        assert code == EXIT_VALIDATION
+
     def test_default_flags_are_classification_recipe(self):
         # Adam + cosine 1e-3 -> 5e-6 over 100 epochs is the out-of-the-box recipe
         from tempospike.cli import build_parser

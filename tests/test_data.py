@@ -48,6 +48,15 @@ class TestParse:
         s = parse_audio_events("5,100\n7,200\n", num_units=700)
         assert list(s.units) == [5, 7] and s.num_units == 700
 
+    @pytest.mark.parametrize("t", [-1, -5])
+    def test_negative_timestamp_rejected(self, t):
+        # -1 used to bin silently into the last (future) step, -5 to raise a
+        # raw IndexError from the binner
+        with pytest.raises(DataError, match="line 1: negative timestamp"):
+            parse_events(f"0,0,{t},1")
+        with pytest.raises(DataError, match="line 1: negative timestamp"):
+            parse_audio_events(f"0,{t}")
+
 
 class TestBinning:
     def test_midpoint_event_lands_in_middle_bin(self):

@@ -12,7 +12,6 @@ from tempospike.engine import (
     SurrogateConfig,
     Tape,
     Tensor,
-    add_n,
     bntt_step,
     concat,
     conv2d,
@@ -282,10 +281,21 @@ class TestBackward:
         g1, g2 = run(), run()
         assert np.array_equal(g1, g2)
 
+    def test_only_leaf_gradients_returned(self):
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
+        with Tape() as tape:
+            h = x * 3.0
+            loss = h.sum()
+        grads = tape.backward(loss)
+        assert list(grads) == [x]
+        assert grads[x].tolist() == [[3.0, 3.0]]
+        # the sweep norm still counts the gradients of loss (1) and h (1, 1)
+        assert tape.grad_norm == pytest.approx(math.sqrt(1 + 2 + 18))
+
     def test_gradient_accumulates_over_reuse(self):
         w = Tensor([[1.0]], requires_grad=True)
         with Tape() as tape:
-            y = add_n([matmul(Tensor([[2.0]]), w), matmul(Tensor([[3.0]]), w)])
+            y = matmul(Tensor([[2.0]]), w) + matmul(Tensor([[3.0]]), w)
             loss = y.sum()
         assert tape.backward(loss)[w].item() == 5.0
 
