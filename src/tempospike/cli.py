@@ -55,13 +55,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_run_record(out_dir: Path, command: str, args: argparse.Namespace) -> None:
+def _write_run_record(out_dir: Path, command: str, args: argparse.Namespace) -> dict:
+    """Write ``run.json`` and return the resolved arguments it holds."""
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = {k: (str(v) if isinstance(v, Path) else v) for k, v in vars(args).items()
                 if k != "func"}
     resolved["command"] = command
     (out_dir / "run.json").write_text(json.dumps(resolved, indent=2) + "\n",
                                       encoding="utf-8")
+    return resolved
 
 
 def cmd_synth(args) -> int:
@@ -100,18 +102,11 @@ def cmd_train(args) -> int:
         for v in violations:
             print(f"  - {v}", file=sys.stderr)
         return EXIT_VALIDATION
-    _write_run_record(out, "train", args)
+    resolved = _write_run_record(out, "train", args)
     train_ds = load_dataset(args.data)
     val_ds = load_dataset(args.val_data) if args.val_data else None
     cfg = _train_config(args)
-    try:
-        net, records = train(spec, train_ds, cfg, val_ds=val_ds,
-                             log_path=out / "metrics.csv")
-    except DivergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    resolved = {k: (str(v) if isinstance(v, Path) else v) for k, v in vars(args).items()
-                if k != "func"}
+    net, records = train(spec, train_ds, cfg, val_ds=val_ds, log_path=out / "metrics.csv")
     save_checkpoint(out / "checkpoint.npz", net, extra={"train_config": resolved})
     last = records[-1]
     print(f"trained {cfg.epochs} epochs; final {last.split} loss {last.loss:.4f}, "
@@ -122,18 +117,12 @@ def cmd_train(args) -> int:
 def cmd_search(args) -> int:
     out = Path(args.out)
     if args.space:
-        space_cfg = json.loads(Path(args.space).read_text(encoding="utf-8"))
-        space_cfg["input_shape"] = tuple(space_cfg["input_shape"])
-        for key in ("depth_range", "width_range", "tskip_count_range", "delta_t_range"):
-            if key in space_cfg:
-                space_cfg[key] = tuple(space_cfg[key])
-        if "kernel_choices" in space_cfg:
-            space_cfg["kernel_choices"] = tuple(space_cfg["kernel_choices"])
-        if "stride_choices" in space_cfg:
-            space_cfg["stride_choices"] = tuple(space_cfg["stride_choices"])
-        if "merge_choices" in space_cfg:
-            space_cfg["merge_choices"] = tuple(space_cfg["merge_choices"])
-        space = nas.SearchSpace(**space_cfg)
+        try:
+            fields = json.loads(Path(args.space).read_text(encoding="utf-8"))
+            space = nas.SearchSpace(**{k: tuple(v) if isinstance(v, list) else v
+                                       for k, v in fields.items()})
+        except (OSError, AttributeError, TypeError, ValueError) as err:
+            raise nas.SearchError(f"cannot load search space {args.space}: {err}") from None
     elif args.preset:
         overrides = {}
         if args.budget is not None:
@@ -145,12 +134,8 @@ def cmd_search(args) -> int:
     probe_rng = split_seed(args.seed, "probe")
     probe = (probe_rng.random((space.T, args.probe_batch) + space.input_shape) < 0.1)
     probe = probe.astype(np.float64)
-    try:
-        ranked = nas.random_search(space, args.n, probe, args.k,
-                                   master_seed=args.seed, parallel=args.parallel)
-    except nas.SearchError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+    ranked = nas.random_search(space, args.n, probe, args.k,
+                               master_seed=args.seed, parallel=args.parallel)
     lines = ["rank,score,params,depth,tskips,spec_path"]
     for rank, cand in enumerate(ranked, start=1):
         spec_path = out / f"spec_rank{rank}.json"
@@ -281,7 +266,8 @@ def build_parser() -> _Parser:
     qp.add_argument("--n", type=int, default=20, help="candidates to draw")
     qp.add_argument("--k", type=int, default=5, help="top candidates to keep")
     qp.add_argument("--probe-batch", type=int, default=16)
-    qp.add_argument("--parallel", type=int, default=None)
+    qp.add_argument("--parallel", type=int, default=None,
+                    help="score on this many threads; same ranking as serial")
     qp.add_argument("--seed", type=int, default=0)
     qp.add_argument("--out", required=True)
     qp.set_defaults(func=cmd_search)

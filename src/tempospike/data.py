@@ -265,19 +265,22 @@ def load_dataset(manifest_path) -> Dataset:
     path = Path(manifest_path)
     if path.is_dir():
         path = path / "manifest.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    if manifest.get("format") != "audio-csv":
-        raise DataError(f"unsupported dataset format {manifest.get('format')!r}")
-    T = int(manifest["T"])
-    units = int(manifest["num_units"])
-    window = float(manifest.get("window_us", T))
-    cfg = BinningConfig(T=T, window=window)
-    inputs, labels = [], []
-    for entry in manifest["samples"]:
-        text = (path.parent / entry["file"]).read_text(encoding="utf-8")
-        stream = parse_audio_events(text, num_units=units)
-        inputs.append(bin_events(stream, cfg))
-        labels.append(int(entry["label"]))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if manifest.get("format") != "audio-csv":
+            raise DataError(f"unsupported dataset format {manifest.get('format')!r}")
+        T = int(manifest["T"])
+        units = int(manifest["num_units"])
+        window = float(manifest.get("window_us", T))
+        cfg = BinningConfig(T=T, window=window)
+        inputs, labels = [], []
+        for entry in manifest["samples"]:
+            text = (path.parent / entry["file"]).read_text(encoding="utf-8")
+            stream = parse_audio_events(text, num_units=units)
+            inputs.append(bin_events(stream, cfg))
+            labels.append(int(entry["label"]))
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as err:
+        raise DataError(f"cannot load dataset {path}: {err!r}") from None
     return Dataset(inputs=np.stack(inputs) if inputs else np.zeros((0, T, units)),
                    labels=np.asarray(labels, dtype=np.int64),
                    meta=manifest.get("meta", {}))

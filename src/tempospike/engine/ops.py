@@ -53,7 +53,7 @@ def spike(z: Tensor, cfg: SurrogateConfig, mode: str = "hard") -> Tensor:
     alpha = cfg.alpha_surr
     if mode == "hard":
         out = (z.data > 0).astype(np.float64)
-    elif mode in ("soft", "soft-forward"):
+    elif mode == "soft":
         out = soft_spike_forward(z.data, alpha)
     else:
         raise ValueError(f"unknown spike mode {mode!r}")
@@ -200,37 +200,22 @@ def _batch_norm(x: Array, gamma: Array, beta: Array, running_mean: Array,
     return out, back
 
 
-def bntt_step(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array,
-              running_var: Array, training: bool, momentum: float = 0.1,
-              eps: float = 1e-5) -> Tensor:
-    """Batch normalization with statistics and affine parameters owned by one
-    timestep. ``running_mean``/``running_var`` are per-timestep buffers mutated
-    in place during training and consumed at inference."""
-    out, slice_back = _batch_norm(x.data, gamma.data, beta.data, running_mean, running_var,
-                                  training, momentum, eps)
-
-    def back(g):  # a closure of this function, so the tape node is named bntt_step
-        return slice_back(g)
-
-    return record((x, gamma, beta), out, back)
-
-
 def bntt_seq(x: Tensor, gammas: list[Tensor], betas: list[Tensor], running_mean: Array,
-             running_var: Array, steps: int, training: bool, momentum: float = 0.1,
+             running_var: Array, training: bool, momentum: float = 0.1,
              eps: float = 1e-5) -> Tensor:
-    """``bntt_step`` over a whole sequence as one node.
+    """Batch normalization with statistics and affine parameters owned by each
+    timestep, over ``len(gammas)`` consecutive steps as one node.
 
-    ``x`` holds ``steps`` consecutive timestep blocks of rows, [steps * batch,
-    ...]; block t is normalized with its own statistics, ``gammas[t]``,
-    ``betas[t]`` and row t of the [steps, channels] running buffers.
+    ``x`` holds one block of rows per step, [steps * batch, ...]; block t is
+    normalized with its own statistics, ``gammas[t]``, ``betas[t]`` and row t
+    of the [steps, channels] running buffers, updated in place in training.
     """
-    xs = x.data.reshape((steps, -1) + x.shape[1:])
+    xs = x.data.reshape((len(gammas), -1) + x.shape[1:])
     out = np.empty_like(xs)
     backs = []
-    for t in range(steps):
-        out[t], slice_back = _batch_norm(xs[t], gammas[t].data, betas[t].data,
-                                         running_mean[t], running_var[t], training,
-                                         momentum, eps)
+    for t, (gamma, beta) in enumerate(zip(gammas, betas)):
+        out[t], slice_back = _batch_norm(xs[t], gamma.data, beta.data, running_mean[t],
+                                         running_var[t], training, momentum, eps)
         backs.append(slice_back)
 
     def back(g):
@@ -335,7 +320,7 @@ def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_m
     and does all elementwise work on one step's slice at a time, so it stays
     in cache; the leak and threshold gradients are accumulated per step.
     """
-    if spike_mode not in ("hard", "soft", "soft-forward"):
+    if spike_mode not in ("hard", "soft"):
         raise ValueError(f"unknown spike mode {spike_mode!r}")
     lk = leak.data
     th = threshold.data
@@ -390,15 +375,20 @@ def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_m
     return record((drive, leak, threshold), o_seq.reshape(drive.shape), back)
 
 
-def li_scan(drive: Tensor, leak: Tensor, steps: int) -> Tensor:
-    """Leaky accumulator over a whole sequence as one node: ``decay_add`` per
-    step from a zero state, with ``drive`` and output laid out as in
-    ``lif_scan``."""
+def li_scan(drive: Tensor, leak: Tensor, init: Tensor) -> Tensor:
+    """Leaky accumulator over consecutive steps as one node:
+    ``acc_t = leak * acc_{t-1} + drive_t`` from ``acc_{-1} = init``.
+
+    ``init`` is one step's state, [batch, ...]; ``drive`` and the output hold
+    one such block of rows per step, laid out as in ``lif_scan``.
+    """
+    if drive.shape[1:] != init.shape[1:] or drive.shape[0] % init.shape[0]:
+        raise ShapeError(f"li_scan drive {drive.shape} is not whole steps of {init.shape}")
     lk = leak.data
-    d = drive.data.reshape(steps, -1)
+    d = drive.data.reshape(drive.shape[0] // init.shape[0], -1)
     acc_seq = np.empty_like(d)
-    acc = np.zeros(d.shape[1])
-    for t in range(steps):
+    acc = acc_init = init.data.reshape(-1)
+    for t in range(len(d)):
         acc = acc_seq[t] = lk * acc + d[t]
 
     def back(g):
@@ -406,14 +396,14 @@ def li_scan(drive: Tensor, leak: Tensor, steps: int) -> Tensor:
         gd = np.empty_like(d)
         ga = None
         g_leak = 0.0
-        for t in range(steps - 1, -1, -1):
+        for t in range(len(d) - 1, -1, -1):
             ga = gs[t] if ga is None else gs[t] + ga * lk
             gd[t] = ga
-            if t:
-                g_leak += np.vdot(ga, acc_seq[t - 1])
-        return gd.reshape(drive.shape), np.asarray(g_leak).reshape(leak.shape)
+            g_leak += np.vdot(ga, acc_seq[t - 1] if t else acc_init)
+        g_init = (ga * lk).reshape(init.shape) if init.requires_grad else None
+        return gd.reshape(drive.shape), np.asarray(g_leak).reshape(leak.shape), g_init
 
-    return record((drive, leak), acc_seq.reshape(drive.shape), back)
+    return record((drive, leak, init), acc_seq.reshape(drive.shape), back)
 
 
 def delay(x: Tensor, rows: int) -> Tensor:
@@ -443,17 +433,6 @@ def normalized_drive(membrane: Tensor, threshold: Tensor) -> Tensor:
         return g_mem, g_th
 
     return record((membrane, threshold), out, back)
-
-
-def decay_add(state: Tensor, drive: Tensor, leak: Tensor) -> Tensor:
-    """Non-spiking accumulator step: leak * state + drive, as one node."""
-    lk = leak.data
-    out = lk * state.data + drive.data
-
-    def back(g):
-        return g * lk, g, _sum_to_scalar(g * state.data, leak.shape)
-
-    return record((state, drive, leak), out, back)
 
 
 def _sum_to_scalar(grad: Array, shape: tuple[int, ...]) -> Array:

@@ -26,7 +26,6 @@ from .engine import (
     Tensor,
     affine,
     bntt_seq,
-    bntt_step,
     concat,
     conv2d,
     delay,
@@ -38,7 +37,7 @@ from .engine import (
     sigmoid,
     stack,
 )
-from .neuron import LifParams, LifState, leaky_integrate, lif_step
+from .neuron import LifParams, LifState, lif_step
 
 LAYER_KINDS = ("dense", "conv2d")
 ACTIVATIONS = ("lif", "relu", "li", "linear")
@@ -170,10 +169,6 @@ def _feature_count(shape: tuple[int, ...]) -> int:
     return int(np.prod(shape))
 
 
-def _concat_fanin_multiplier(spec: ArchSpec, layer_index: int) -> int:
-    return 1 + sum(1 for e in spec.tskips if e.dest == layer_index and e.merge == "concat")
-
-
 def validate(spec: ArchSpec) -> list[str]:
     """All structural invariants; returns a list of violations (empty = ok)."""
     v: list[str] = []
@@ -210,6 +205,7 @@ def validate(spec: ArchSpec) -> list[str]:
         return [str(err)]
 
     depth = spec.depth
+    concat_dests: set[int] = set()
     for e in spec.tskips:
         tag = f"edge {e.origin}->{e.dest} (dt={e.delta_t})"
         if not 0 <= e.origin <= depth:
@@ -229,6 +225,12 @@ def validate(spec: ArchSpec) -> list[str]:
             v.append(f"{tag}: delay exceeds sequence length (delta_t must be < T={spec.T})")
         if e.merge not in MERGE_OPS:
             v.append(f"{tag}: unknown merge {e.merge!r}")
+        # an add payload has the feed-forward width, which an earlier concat
+        # into the same layer has already widened
+        if e.merge == "add" and e.dest in concat_dests:
+            v.append(f"{tag}: add edge listed after a concat edge into the same layer")
+        if e.merge == "concat":
+            concat_dests.add(e.dest)
         dest_layer = spec.layers[e.dest - 1]
         payload, ff_in = shapes[e.origin], shapes[e.dest - 1]
         if dest_layer.kind == "conv2d":
@@ -239,27 +241,58 @@ def validate(spec: ArchSpec) -> list[str]:
     return v
 
 
+@dataclass(frozen=True)
+class ParamSpec:
+    """One array of a built network. ``init`` is its constant initial value,
+    or None for a weight drawn He-uniform from the build's RNG; entries that
+    are not ``trainable`` are running statistics kept in ``Network.state``."""
+
+    name: str
+    shape: tuple[int, ...]
+    init: float | None = None
+    trainable: bool = True
+
+
+def weight_fan_in(shape: tuple[int, ...]) -> int:
+    """Inputs per output unit of a dense [fan_in, out] or conv [out, c_in, k, k] weight."""
+    return shape[0] if len(shape) == 2 else int(np.prod(shape[1:]))
+
+
+def param_table(spec: ArchSpec) -> list[ParamSpec]:
+    """Every parameter and running statistic of ``spec``'s network, in the
+    order ``Network.build`` initializes them: per layer the weight, bias,
+    neuron scalars and per-timestep normalization, then per-edge blends. Each
+    concat edge into a layer widens its input by one feed-forward width."""
+    shapes = infer_shapes(spec)
+    table: list[ParamSpec] = []
+    for i, layer in enumerate(spec.layers, start=1):
+        widen = 1 + sum(1 for e in spec.tskips if e.dest == i and e.merge == "concat")
+        if layer.kind == "dense":
+            table += [ParamSpec(f"L{i}.w", (_feature_count(shapes[i - 1]) * widen, layer.out)),
+                      ParamSpec(f"L{i}.b", (layer.out,), 0.0)]
+        else:
+            k = layer.kernel
+            table += [ParamSpec(f"L{i}.w", (layer.out, shapes[i - 1][0] * widen, k, k)),
+                      ParamSpec(f"L{i}.b", (layer.out, 1, 1), 0.0)]
+        if layer.activation in ("lif", "li"):
+            table.append(ParamSpec(f"L{i}.leak", (), spec.leak_init))
+        if layer.activation == "lif":
+            table.append(ParamSpec(f"L{i}.threshold", (), spec.threshold_init))
+            if spec.bntt:
+                for t in range(spec.T):
+                    table += [ParamSpec(f"L{i}.bntt_g{t}", (layer.out,), 1.0),
+                              ParamSpec(f"L{i}.bntt_b{t}", (layer.out,), 0.0)]
+                table += [ParamSpec(f"L{i}.bntt_mean", (spec.T, layer.out), 0.0, False),
+                          ParamSpec(f"L{i}.bntt_var", (spec.T, layer.out), 1.0, False)]
+    table += [ParamSpec(f"E{j}.alpha_raw", (), e.alpha_init)
+              for j, e in enumerate(spec.tskips) if e.alpha]
+    return table
+
+
 def param_count(spec: ArchSpec) -> int:
     """Exact trainable parameter count: weights, biases, neuron scalars,
     per-timestep normalization affines, and per-edge blend factors."""
-    shapes = infer_shapes(spec)
-    total = 0
-    for i, layer in enumerate(spec.layers, start=1):
-        mult = _concat_fanin_multiplier(spec, i)
-        if layer.kind == "dense":
-            fan_in = _feature_count(shapes[i - 1]) * mult
-            total += fan_in * layer.out + layer.out
-        else:
-            c_in = shapes[i - 1][0] * mult
-            total += layer.out * c_in * layer.kernel * layer.kernel + layer.out
-        if layer.activation == "lif":
-            total += 2
-            if spec.bntt:
-                total += 2 * spec.T * layer.out
-        elif layer.activation == "li":
-            total += 1
-    total += sum(1 for e in spec.tskips if e.alpha)
-    return total
+    return sum(int(np.prod(p.shape)) for p in param_table(spec) if p.trainable)
 
 
 @dataclass(frozen=True)
@@ -389,53 +422,23 @@ class Network:
         violations = validate(spec)
         if violations:
             raise SpecValidationError(violations)
-        shapes = infer_shapes(spec)
         rng = np.random.default_rng(seed)
         params: dict[str, Tensor] = {}
         state: dict[str, np.ndarray] = {}
-
-        for i, layer in enumerate(spec.layers, start=1):
-            mult = _concat_fanin_multiplier(spec, i)
-            if layer.kind == "dense":
-                fan_in = _feature_count(shapes[i - 1]) * mult
-                bound = np.sqrt(6.0 / fan_in)
-                params[f"L{i}.w"] = Tensor(rng.uniform(-bound, bound, (fan_in, layer.out)),
-                                           requires_grad=True, name=f"L{i}.w")
-                params[f"L{i}.b"] = Tensor(np.zeros(layer.out), requires_grad=True,
-                                           name=f"L{i}.b")
+        for p in param_table(spec):
+            if p.init is None:
+                bound = np.sqrt(6.0 / weight_fan_in(p.shape))
+                value = rng.uniform(-bound, bound, p.shape)
             else:
-                c_in = shapes[i - 1][0] * mult
-                fan_in = c_in * layer.kernel * layer.kernel
-                bound = np.sqrt(6.0 / fan_in)
-                params[f"L{i}.w"] = Tensor(
-                    rng.uniform(-bound, bound, (layer.out, c_in, layer.kernel, layer.kernel)),
-                    requires_grad=True, name=f"L{i}.w")
-                params[f"L{i}.b"] = Tensor(np.zeros((layer.out, 1, 1)), requires_grad=True,
-                                           name=f"L{i}.b")
-            if layer.activation == "lif":
-                params[f"L{i}.leak"] = Tensor(spec.leak_init, requires_grad=True,
-                                              name=f"L{i}.leak")
-                params[f"L{i}.threshold"] = Tensor(spec.threshold_init, requires_grad=True,
-                                                   name=f"L{i}.threshold")
-                if spec.bntt:
-                    for t in range(spec.T):
-                        params[f"L{i}.bntt_g{t}"] = Tensor(np.ones(layer.out),
-                                                           requires_grad=True,
-                                                           name=f"L{i}.bntt_g{t}")
-                        params[f"L{i}.bntt_b{t}"] = Tensor(np.zeros(layer.out),
-                                                           requires_grad=True,
-                                                           name=f"L{i}.bntt_b{t}")
-                    state[f"L{i}.bntt_mean"] = np.zeros((spec.T, layer.out))
-                    state[f"L{i}.bntt_var"] = np.ones((spec.T, layer.out))
-            elif layer.activation == "li":
-                params[f"L{i}.leak"] = Tensor(spec.leak_init, requires_grad=True,
-                                              name=f"L{i}.leak")
+                value = np.full(p.shape, p.init)
+            if p.trainable:
+                params[p.name] = Tensor(value, requires_grad=True, name=p.name)
+            else:
+                state[p.name] = value
 
+        shapes = infer_shapes(spec)
         shortcuts: list[ShortcutMatrix] = []
-        for j, edge in enumerate(spec.tskips):
-            if edge.alpha:
-                params[f"E{j}.alpha_raw"] = Tensor(edge.alpha_init, requires_grad=True,
-                                                   name=f"E{j}.alpha_raw")
+        for edge in spec.tskips:
             dest_layer = spec.layers[edge.dest - 1]
             if dest_layer.kind == "conv2d":
                 source = shapes[edge.origin][0]
@@ -453,9 +456,6 @@ class Network:
             threshold=self.params[f"L{layer_index}.threshold"],
             reset_mode=self.spec.reset,
         )
-
-    def trainable(self) -> dict[str, Tensor]:
-        return dict(self.params)
 
 
 def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
@@ -533,6 +533,16 @@ def _drive(net: Network, l: int, merged: Tensor, dropout: float,
     return conv2d(merged, net.params[f"L{l}.w"], layer.stride) + net.params[f"L{l}.b"]
 
 
+def _bntt(net: Network, l: int, drive: Tensor, start: int, stop: int,
+          training: bool) -> Tensor:
+    """Layer ``l``'s per-timestep normalization of steps [start, stop)."""
+    steps = range(start, stop)
+    return bntt_seq(drive, [net.params[f"L{l}.bntt_g{t}"] for t in steps],
+                    [net.params[f"L{l}.bntt_b{t}"] for t in steps],
+                    net.state[f"L{l}.bntt_mean"][start:stop],
+                    net.state[f"L{l}.bntt_var"][start:stop], training)
+
+
 def _run_layer_major(net: Network, x: np.ndarray, training: bool, spike_mode: str,
                      surr: SurrogateConfig, dropout: float, rng: np.random.Generator | None,
                      collect: dict[int, np.ndarray | None] | None) -> ForwardResult:
@@ -568,15 +578,13 @@ def _layer_sequence(net: Network, l: int, seqs: list[Tensor | None], T: int, bat
     # the merged input stays unnamed: without a tape it is freed before the scan
     drive = _drive(net, l, _sequence_input(net, l, seqs, batch), dropout, rng)
     if spec.bntt and layer.activation == "lif":
-        drive = bntt_seq(drive, [net.params[f"L{l}.bntt_g{t}"] for t in range(T)],
-                         [net.params[f"L{l}.bntt_b{t}"] for t in range(T)],
-                         net.state[f"L{l}.bntt_mean"], net.state[f"L{l}.bntt_var"],
-                         T, training)
+        drive = _bntt(net, l, drive, 0, T, training)
     if layer.activation == "lif":
         p = net.lif_params(l)
         return lif_scan(drive, p.leak, p.threshold, T, p.reset_mode, surr, spike_mode)
     if layer.activation == "li":
-        return li_scan(drive, net.params[f"L{l}.leak"], T)
+        return li_scan(drive, net.params[f"L{l}.leak"],
+                       Tensor(np.zeros((batch,) + net.shapes[l])))
     if layer.activation == "relu":
         return relu(drive)
     return drive
@@ -655,18 +663,14 @@ def _run_time_major(net: Network, x: np.ndarray, training: bool, spike_mode: str
                 merged = _merge(edge, merged, _resize(net, j, edge, delayed, merged))
             drive = _drive(net, l, merged, dropout, rng)
             if spec.bntt and layer.activation == "lif":
-                drive = bntt_step(drive, net.params[f"L{l}.bntt_g{t}"],
-                                  net.params[f"L{l}.bntt_b{t}"],
-                                  net.state[f"L{l}.bntt_mean"][t],
-                                  net.state[f"L{l}.bntt_var"][t], training)
+                drive = _bntt(net, l, drive, t, t + 1, training)
             if layer.activation == "lif":
                 spikes, lif_states[l] = lif_step(lif_states[l], drive, net.lif_params(l),
                                                  surr, spike_mode=spike_mode)
                 stats.add(l, float(spikes.data.sum()))
                 h = spikes
             elif layer.activation == "li":
-                li_potentials[l] = leaky_integrate(li_potentials[l], drive,
-                                                   net.params[f"L{l}.leak"])
+                li_potentials[l] = li_scan(drive, net.params[f"L{l}.leak"], li_potentials[l])
                 h = li_potentials[l]
             elif layer.activation == "relu":
                 h = relu(drive)
@@ -722,23 +726,26 @@ def _layer_from_entry(entry) -> LayerSpec:
 
 
 def spec_from_dict(d: dict) -> ArchSpec:
-    layers = tuple(_layer_from_entry(e) for e in d["layers"])
-    tskips = tuple(
-        TSkip(origin=int(e["origin"]), dest=int(e["dest"]), delta_t=int(e["delta_t"]),
-              merge=e.get("merge", "concat"), alpha=bool(e.get("alpha", False)),
-              alpha_init=float(e.get("alpha_init", 0.0)))
-        for e in d.get("tskips", ())
-    )
-    return ArchSpec(
-        input_shape=tuple(d["input"]),
-        layers=layers,
-        tskips=tskips,
-        T=int(d["T"]),
-        bntt=bool(d.get("bntt", False)),
-        reset=d.get("reset", "soft"),
-        leak_init=float(d.get("leak_init", 0.6)),
-        threshold_init=float(d.get("threshold_init", 1.0)),
-    )
+    try:
+        layers = tuple(_layer_from_entry(e) for e in d["layers"])
+        tskips = tuple(
+            TSkip(origin=int(e["origin"]), dest=int(e["dest"]), delta_t=int(e["delta_t"]),
+                  merge=e.get("merge", "concat"), alpha=bool(e.get("alpha", False)),
+                  alpha_init=float(e.get("alpha_init", 0.0)))
+            for e in d.get("tskips", ())
+        )
+        return ArchSpec(
+            input_shape=tuple(d["input"]),
+            layers=layers,
+            tskips=tskips,
+            T=int(d["T"]),
+            bntt=bool(d.get("bntt", False)),
+            reset=d.get("reset", "soft"),
+            leak_init=float(d.get("leak_init", 0.6)),
+            threshold_init=float(d.get("threshold_init", 1.0)),
+        )
+    except (KeyError, TypeError, ValueError) as err:
+        raise GraphError(f"malformed spec: {err!r}") from None
 
 
 def dumps_spec(spec: ArchSpec) -> str:
@@ -746,7 +753,11 @@ def dumps_spec(spec: ArchSpec) -> str:
 
 
 def loads_spec(text: str) -> ArchSpec:
-    return spec_from_dict(json.loads(text))
+    try:
+        d = json.loads(text)
+    except ValueError as err:
+        raise GraphError(f"spec is not valid JSON: {err}") from None
+    return spec_from_dict(d)
 
 
 def save_spec(spec: ArchSpec, path) -> None:
@@ -755,5 +766,9 @@ def save_spec(spec: ArchSpec, path) -> None:
 
 
 def load_spec(path) -> ArchSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_spec(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise GraphError(f"cannot read spec: {err}") from None
+    return loads_spec(text)

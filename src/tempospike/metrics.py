@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import ArchSpec, SpikeStats, _concat_fanin_multiplier, _feature_count, infer_shapes
+from .graph import ArchSpec, SpikeStats, infer_shapes, param_table, weight_fan_in
 
 E_AC_JOULES = 0.9e-12
 E_MAC_JOULES = 4.6e-12
@@ -78,11 +78,6 @@ class EnergyReport:
         return "\n".join(lines) + "\n"
 
 
-def spike_rate(stats: SpikeStats) -> dict[int, float]:
-    """Average spikes per neuron per sample over the whole window, per layer."""
-    return stats.rates()
-
-
 def energy_total(profiles: list[LayerOpsProfile], model: EnergyModel | None = None) -> EnergyReport:
     model = model or EnergyModel()
     report = EnergyReport()
@@ -111,19 +106,14 @@ def profile_network(spec: ArchSpec, stats: SpikeStats) -> list[LayerOpsProfile]:
     dense multiply-accumulate consumers.
     """
     shapes = infer_shapes(spec)
+    weights = {p.name: p.shape for p in param_table(spec)}
     rates = stats.rates()
     profiles = []
     for i, layer in enumerate(spec.layers, start=1):
-        mult = _concat_fanin_multiplier(spec, i)
-        if layer.kind == "dense":
-            fan_in = _feature_count(shapes[i - 1]) * mult
-        else:
-            fan_in = shapes[i - 1][0] * mult * layer.kernel * layer.kernel
-        neurons = _feature_count(shapes[i])
         kind = "snn" if layer.activation in ("lif", "li") else "ann"
         profiles.append(LayerOpsProfile(
-            name=f"L{i}", kind=kind, neurons=neurons, fan_in=fan_in,
-            spike_rate=rates.get(i, 0.0), T=spec.T))
+            name=f"L{i}", kind=kind, neurons=int(np.prod(shapes[i])),
+            fan_in=weight_fan_in(weights[f"L{i}.w"]), spike_rate=rates.get(i, 0.0), T=spec.T))
     return profiles
 
 

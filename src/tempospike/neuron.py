@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SurrogateConfig, Tensor, decay_add, lif_update, normalized_drive, spike
+from .engine import SurrogateConfig, Tensor, lif_update, normalized_drive, spike
 
 LEAK_MIN = 1e-3
 LEAK_MAX = 1.0 - 1e-3
@@ -25,16 +25,15 @@ RESET_MODES = ("soft", "hard")
 
 @dataclass
 class LifParams:
-    """Per-layer scalar leak and threshold, optionally trainable."""
+    """Per-layer scalar leak and threshold."""
 
     leak: Tensor
     threshold: Tensor
     reset_mode: str = "soft"
-    learnable: bool = True
 
     @classmethod
     def create(cls, leak: float = 0.6, threshold: float = 1.0,
-               reset_mode: str = "soft", learnable: bool = True) -> "LifParams":
+               reset_mode: str = "soft") -> "LifParams":
         if not 0.0 < leak < 1.0:
             raise ValueError(f"leak must lie in (0, 1), got {leak}")
         if not threshold > 0.0:
@@ -42,10 +41,9 @@ class LifParams:
         if reset_mode not in RESET_MODES:
             raise ValueError(f"reset_mode must be one of {RESET_MODES}, got {reset_mode!r}")
         return cls(
-            leak=Tensor(leak, requires_grad=learnable),
-            threshold=Tensor(threshold, requires_grad=learnable),
+            leak=Tensor(leak, requires_grad=True),
+            threshold=Tensor(threshold, requires_grad=True),
             reset_mode=reset_mode,
-            learnable=learnable,
         )
 
 
@@ -76,11 +74,6 @@ def lif_step(state: LifState, weighted_input: Tensor, params: LifParams,
                           params.leak, params.threshold, params.reset_mode)
     spikes = spike(normalized_drive(membrane, params.threshold), surr, mode=spike_mode)
     return spikes, LifState(membrane=membrane, prev_spikes=spikes)
-
-
-def leaky_integrate(state: Tensor, weighted_input: Tensor, leak: Tensor) -> Tensor:
-    """Non-spiking accumulator step used by readout layers: U' = leak*U + drive."""
-    return decay_add(state, weighted_input, leak)
 
 
 def clamp_params(params: LifParams) -> LifParams:

@@ -83,10 +83,6 @@ class MultiStepSchedule:
         return self.lr_init * self.gamma ** (epoch // self.every)
 
 
-def lr_at(schedule, step: int) -> float:
-    return schedule.lr_at(step)
-
-
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -208,9 +204,19 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator | None):
         yield order[start:start + batch_size]
 
 
+def _check_labels(ds: Dataset, spec: ArchSpec) -> None:
+    """Labels must index the readout's units; a negative one would silently
+    pick a logit from the end."""
+    classes = spec.layers[-1].out
+    if len(ds) and not (0 <= ds.labels.min() and ds.labels.max() < classes):
+        raise TrainError(f"labels must lie in [0, {classes}) for this readout, got "
+                         f"[{ds.labels.min()}, {ds.labels.max()}]")
+
+
 def evaluate(net: Network, ds: Dataset, cfg: TrainConfig,
              batch_size: int | None = None) -> tuple[float, float, SpikeStats]:
     """Loss, accuracy, and aggregated spike statistics on a dataset."""
+    _check_labels(ds, net.spec)
     batch_size = batch_size or cfg.batch_size
     total_loss = 0.0
     hits = 0
@@ -238,6 +244,9 @@ def train(spec: ArchSpec, train_ds: Dataset, cfg: TrainConfig,
         raise SpecValidationError(violations)
     if len(train_ds) == 0:
         raise TrainError("training dataset is empty")
+    _check_labels(train_ds, spec)
+    if val_ds is not None:
+        _check_labels(val_ds, spec)
     if cfg.bntt is not None and cfg.bntt != spec.bntt:
         spec = replace(spec, bntt=cfg.bntt)
 
@@ -346,18 +355,29 @@ def save_checkpoint(path, net: Network, extra: dict | None = None) -> None:
 
 
 def load_checkpoint(path) -> tuple[Network, dict]:
+    """Rebuild the network from the stored spec and seed, then load its
+    parameters and running statistics. Every ``p::``/``s::`` array must be
+    present with the rebuilt shape; the rebuilt shortcut selections are the
+    ones used, and the stored ``sel::`` arrays must agree with them."""
     with np.load(path, allow_pickle=False) as blob:
         meta = json.loads(bytes(blob["meta"]).decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise TrainError(f"unsupported checkpoint version {meta.get('version')}")
         spec = spec_from_dict(meta["spec"])
         net = Network.build(spec, seed=int(meta["seed"]))
-        for name in net.params:
-            net.params[name].data[...] = blob[f"p::{name}"]
-        for name in net.state:
-            net.state[name][...] = blob[f"s::{name}"]
+        targets = {f"p::{name}": p.data for name, p in net.params.items()}
+        targets.update((f"s::{name}", arr) for name, arr in net.state.items())
+        for key, target in targets.items():
+            if key not in blob.files:
+                raise TrainError(f"checkpoint lacks array {key!r}")
+            stored = blob[key]
+            if stored.shape != target.shape:
+                raise TrainError(f"checkpoint array {key!r} has shape {stored.shape}, "
+                                 f"the network needs {target.shape}")
+            target[...] = stored
         for j, ws in enumerate(net.shortcuts):
-            stored = tuple(int(i) for i in blob[f"sel::{j}"])
-            if stored != ws.selection:
-                object.__setattr__(net.shortcuts[j], "selection", stored)
+            key = f"sel::{j}"
+            if key not in blob.files or tuple(blob[key].tolist()) != ws.selection:
+                raise TrainError(f"checkpoint shortcut selection {key!r} differs from the "
+                                 f"one its spec and seed rebuild")
     return net, meta.get("extra", {})

@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
-from tempospike.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from tempospike.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from tempospike.data import load_dataset
-from tempospike.graph import ArchSpec, LayerSpec, Network, load_spec, mlp_spec, save_spec, TSkip
-from tempospike.trainer import save_checkpoint
+from tempospike.graph import (ArchSpec, LayerSpec, Network, load_spec, mlp_spec, save_spec,
+                              spec_to_dict, TSkip)
+from tempospike.trainer import TrainError, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture
@@ -229,3 +231,104 @@ class TestEnergy:
                      "--data", str(tiny_data / "test"), "--out", str(out)]) == EXIT_OK
         rows = (out / "energy.csv").read_text().strip().splitlines()
         assert float(rows[-1].split(",")[-1]) == 0.0
+
+
+
+def _edit_manifest(data_dir, edit):
+    path = data_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    return data_dir
+
+
+def _set_first_label(label):
+    return lambda m: m["samples"][0].update(label=label)
+
+
+def _spec_file(tmp_path, **fields):
+    path = tmp_path / "edited_spec.json"
+    path.write_text(json.dumps({**spec_to_dict(mlp_spec([4, 8, 3], T=6)), **fields}))
+    return path
+
+
+# Each case gives the command and its input paths; the readout width is 3.
+BROKEN_INPUTS = {
+    "spec T not an integer": lambda tmp, data: (
+        "train", _spec_file(tmp, T="x"), data / "train"),
+    "missing spec file": lambda tmp, data: (
+        "train", tmp / "absent.json", data / "train"),
+    "missing data directory": lambda tmp, data: (
+        "train", _spec_file(tmp), tmp / "absent"),
+    "manifest without T": lambda tmp, data: (
+        "train", _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.pop("T"))),
+    "label above the readout width": lambda tmp, data: (
+        "train", _spec_file(tmp), _edit_manifest(data / "train", _set_first_label(12))),
+    "negative label": lambda tmp, data: (
+        "train", _spec_file(tmp), _edit_manifest(data / "train", _set_first_label(-1))),
+    "space file with an unknown field": lambda tmp, data: (
+        "search", tmp / "space.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_INPUTS))
+def test_broken_input_exits_with_message(case, tmp_path, tiny_data, capsys):
+    (tmp_path / "space.json").write_text(json.dumps(
+        {"input_shape": [6], "out_units": 3, "T": 6, "colour": "blue"}))
+    command, *paths = BROKEN_INPUTS[case](tmp_path, tiny_data)
+    if command == "train":
+        argv = ["train", "--spec", str(paths[0]), "--data", str(paths[1]), "--epochs", "1"]
+    else:
+        argv = ["search", "--space", str(paths[0]), "--n", "2", "--k", "1"]
+    # an unhandled exception would propagate out of main and fail the test
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code in (EXIT_USAGE, EXIT_VALIDATION), case
+    assert "error" in capsys.readouterr().err
+
+
+def test_out_of_range_label_in_evaluation_exits_2(tmp_path, tiny_data):
+    ckpt = tmp_path / "net.npz"
+    save_checkpoint(ckpt, Network.build(mlp_spec([4, 8, 3], T=6), seed=0))
+    data = _edit_manifest(tiny_data / "test", _set_first_label(-1))
+    assert main(["energy", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--out", str(tmp_path / "e")]) == EXIT_VALIDATION
+
+
+def test_divergence_exits_3(tmp_path, tiny_data, tiny_spec):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train", "--spec", str(tiny_spec), "--data", str(tiny_data / "train"),
+                     "--epochs", "3", "--batch", "40", "--lr", "1e160", "--loss", "mse",
+                     "--out", str(tmp_path / "r")])
+    assert code == EXIT_DIVERGENCE
+
+
+class TestCheckpointInput:
+    def _tampered(self, tmp_path, spec, edit):
+        """A checkpoint of ``spec``'s network with its arrays passed through ``edit``."""
+        ckpt = tmp_path / "net.npz"
+        save_checkpoint(ckpt, Network.build(spec, seed=0))
+        with np.load(ckpt) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        edit(arrays)
+        np.savez_compressed(ckpt, **arrays)
+        return ckpt
+
+    @pytest.mark.parametrize("edit", [
+        lambda a: a.pop("p::L1.w"),
+        lambda a: a.update({"p::L1.b": np.zeros(1)}),
+        lambda a: a.pop("s::L1.bntt_mean"),
+        lambda a: a.update({"s::L1.bntt_var": np.ones((1, 8))}),
+    ], ids=["missing weight", "bias of shape (1,)", "missing statistic",
+            "statistic of one step"])
+    def test_energy_rejects_bad_arrays(self, tmp_path, tiny_data, edit):
+        ckpt = self._tampered(tmp_path, mlp_spec([4, 8, 3], T=6, bntt=True), edit)
+        code = main(["energy", "--checkpoint", str(ckpt), "--data", str(tiny_data / "test"),
+                     "--out", str(tmp_path / "e")])
+        assert code == EXIT_VALIDATION
+
+    def test_selection_mismatch_rejected(self, tmp_path):
+        spec = mlp_spec([4, 8, 6, 3], T=6, tskips=[TSkip(0, 2, 1)])
+        ckpt = self._tampered(tmp_path, spec,
+                              lambda a: a.update({"sel::0": (a["sel::0"] + 1) % 4}))
+        with pytest.raises(TrainError, match="selection"):
+            load_checkpoint(ckpt)

@@ -12,7 +12,7 @@ from tempospike.engine import (
     SurrogateConfig,
     Tape,
     Tensor,
-    bntt_step,
+    bntt_seq,
     concat,
     conv2d,
     cross_entropy,
@@ -197,27 +197,27 @@ class TestBntt:
         x = Tensor(np.full((4, 3), 7.0))
         gamma = Tensor(np.ones(3))
         beta = Tensor(np.array([1.0, -2.0, 0.5]))
-        out = bntt_step(x, gamma, beta, np.zeros(3), np.ones(3), training=True)
+        out = bntt_seq(x, [gamma], [beta], np.zeros((1, 3)), np.ones((1, 3)), training=True)
         assert np.allclose(out.data, beta.data[None, :])
 
     def test_identity_on_standardized_batch(self):
         rng = np.random.default_rng(9)
         raw = rng.normal(size=(200, 4))
         raw = (raw - raw.mean(axis=0)) / raw.std(axis=0)
-        out = bntt_step(Tensor(raw), Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                        np.zeros(4), np.ones(4), training=True)
+        out = bntt_seq(Tensor(raw), [Tensor(np.ones(4))], [Tensor(np.zeros(4))],
+                       np.zeros((1, 4)), np.ones((1, 4)), training=True)
         assert np.allclose(out.data, raw, atol=1e-4)
 
     def test_batch_of_one_raises(self):
         with pytest.raises(Exception, match="batch"):
-            bntt_step(Tensor(np.zeros((1, 3))), Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                      np.zeros(3), np.ones(3), training=True)
+            bntt_seq(Tensor(np.zeros((1, 3))), [Tensor(np.ones(3))], [Tensor(np.zeros(3))],
+                     np.zeros((1, 3)), np.ones((1, 3)), training=True)
 
     def test_inference_uses_running_stats(self):
         x = Tensor(np.array([[2.0, 4.0]]))
-        out = bntt_step(x, Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                        np.array([1.0, 1.0]), np.array([4.0, 4.0]),
-                        training=False, eps=0.0)
+        out = bntt_seq(x, [Tensor(np.ones(2))], [Tensor(np.zeros(2))],
+                       np.array([[1.0, 1.0]]), np.array([[4.0, 4.0]]),
+                       training=False, eps=0.0)
         assert np.allclose(out.data, [[0.5, 1.5]])
 
     def test_gradients_vs_finite_differences(self):
@@ -227,8 +227,8 @@ class TestBntt:
         beta = Tensor(rng.normal(size=3), requires_grad=True, name="b")
 
         def build():
-            return square(bntt_step(x, gamma, beta, np.zeros(3), np.ones(3),
-                                    training=True)).sum()
+            return square(bntt_seq(x, [gamma], [beta], np.zeros((1, 3)), np.ones((1, 3)),
+                                   training=True)).sum()
 
         check_grads(build, [x, gamma, beta], tol=1e-4)
 

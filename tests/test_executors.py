@@ -50,10 +50,7 @@ def random_forward_spec(rng: np.random.Generator) -> ArchSpec:
                                alpha=bool(rng.random() < 0.4),
                                alpha_init=float(rng.normal())))
         spec = ArchSpec(tskips=tuple(edges), **base)
-        # an add after a concat into the same layer has mismatched widths,
-        # which validate() does not catch
-        mixed = any(a.dest == b.dest and a.merge != b.merge for a in edges for b in edges)
-        if not validate(spec) and not mixed:
+        if not validate(spec):
             return spec
 
 

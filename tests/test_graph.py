@@ -74,6 +74,15 @@ class TestValidate:
             T=4)
         assert any("spatial mismatch" in v for v in validate(spec))
 
+    def test_add_after_concat_into_same_layer_rejected(self):
+        # the add payload has the feed-forward width, not the concatenated one
+        edges = [TSkip(0, 2, 1, merge="concat"), TSkip(1, 2, 1, merge="add")]
+        spec = mlp_spec([4, 6, 6, 3], T=4, tskips=edges)
+        assert any("add edge listed after a concat" in v for v in validate(spec))
+        with pytest.raises(GraphError):
+            Network.build(spec)
+        assert validate(mlp_spec([4, 6, 6, 3], T=4, tskips=edges[::-1])) == []
+
     def test_never_raises_on_garbage(self):
         spec = ArchSpec(input_shape=(0,), layers=(LayerSpec("dense", 0, activation="nope"),),
                         T=0)
@@ -113,6 +122,35 @@ class TestShapesAndParams:
         plain = mlp_spec([10, 8, 4], T=5)
         normed = mlp_spec([10, 8, 4], T=5, bntt=True)
         assert param_count(normed) == param_count(plain) + 2 * 5 * 8
+
+    def test_count_equals_built_parameter_sizes(self):
+        rng = np.random.default_rng(11)
+        seen = {"conv": 0, "concat": 0, "add": 0, "alpha": 0, "bntt": 0, "backward": 0}
+        checked = 0
+        while checked < 40:
+            T = int(rng.integers(2, 6))
+            if rng.random() < 0.5:
+                shorthand = f"{int(rng.integers(1, 3))}x6x6-3c{int(rng.integers(2, 5))}s1-" \
+                            f"1c{int(rng.integers(2, 5))}s{int(rng.integers(1, 3))}-3"
+            else:
+                shorthand = "-".join(str(int(w)) for w in rng.integers(2, 9, size=4))
+            edges = [TSkip(int(rng.integers(0, 4)), int(rng.integers(1, 4)),
+                           int(rng.integers(1, T)), merge=str(rng.choice(["concat", "add"])),
+                           alpha=bool(rng.random() < 0.5))
+                     for _ in range(int(rng.integers(0, 4)))]
+            spec = from_shorthand(shorthand, T=T, tskips=edges, bntt=bool(rng.random() < 0.5))
+            if validate(spec):
+                continue
+            net = Network.build(spec, seed=checked)
+            assert param_count(spec) == sum(p.size for p in net.params.values()), spec
+            checked += 1
+            seen["conv"] += spec.layers[0].kind == "conv2d"
+            seen["bntt"] += spec.bntt
+            for e in spec.tskips:
+                seen[e.merge] += 1
+                seen["alpha"] += e.alpha
+                seen["backward"] += not e.is_forward
+        assert all(n >= 5 for n in seen.values()), seen
 
     def test_conv_shapes(self):
         spec = from_shorthand("2x8x8-3c4s2-3c4s1-10", T=3)

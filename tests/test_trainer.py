@@ -19,7 +19,6 @@ from tempospike.trainer import (
     evaluate,
     load_checkpoint,
     loss,
-    lr_at,
     save_checkpoint,
     split_seed,
     train,
@@ -82,25 +81,25 @@ class TestAdam:
 class TestSchedules:
     def test_multistep_fixture(self):
         sched = MultiStepSchedule(lr_init=1e-3, gamma=0.7, every=10)
-        assert lr_at(sched, 0) == pytest.approx(1e-3)
-        assert lr_at(sched, 10) == pytest.approx(7e-4)
-        assert lr_at(sched, 20) == pytest.approx(4.9e-4)
-        assert lr_at(sched, 9) == pytest.approx(1e-3)
+        assert sched.lr_at(0) == pytest.approx(1e-3)
+        assert sched.lr_at(10) == pytest.approx(7e-4)
+        assert sched.lr_at(20) == pytest.approx(4.9e-4)
+        assert sched.lr_at(9) == pytest.approx(1e-3)
 
     def test_cosine_endpoints(self):
         sched = CosineSchedule(lr_init=1e-3, lr_min=5e-6, total_steps=1000, update_every=10)
-        assert lr_at(sched, 0) == pytest.approx(1e-3)
-        assert lr_at(sched, 1000) == pytest.approx(5e-6)
-        assert lr_at(sched, 10_000) == pytest.approx(5e-6)  # clamped past the end
+        assert sched.lr_at(0) == pytest.approx(1e-3)
+        assert sched.lr_at(1000) == pytest.approx(5e-6)
+        assert sched.lr_at(10_000) == pytest.approx(5e-6)  # clamped past the end
 
     def test_cosine_midpoint_symmetry(self):
         sched = CosineSchedule(lr_init=1e-3, lr_min=5e-6, total_steps=1000, update_every=10)
-        assert lr_at(sched, 500) == pytest.approx((1e-3 + 5e-6) / 2)
+        assert sched.lr_at(500) == pytest.approx((1e-3 + 5e-6) / 2)
 
     def test_cosine_steps_in_blocks_of_update_every(self):
         sched = CosineSchedule(lr_init=1e-3, lr_min=5e-6, total_steps=100, update_every=10)
-        assert lr_at(sched, 3) == lr_at(sched, 0)
-        assert lr_at(sched, 10) < lr_at(sched, 9)
+        assert sched.lr_at(3) == sched.lr_at(0)
+        assert sched.lr_at(10) < sched.lr_at(9)
 
 
 class TestLoss:
