@@ -129,35 +129,59 @@ def _same_pad(size: int, kernel: int, stride: int) -> tuple[int, int, int]:
     return out, lo, pad - lo
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
-    """Cross-correlation with "same" zero padding: output h' = ceil(h/stride)."""
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+    """Cross-correlation with "same" zero padding plus one bias value per output
+    channel: output h' = ceil(h/stride).
+
+    Runs as im2col matrix products in channel-major layout. The columns are a
+    (c*kh*kw, h'*w'*b) matrix, so the forward pass is one product with the
+    (oc, c*kh*kw) kernel, and the backward pass one product each for the
+    kernel and column gradients, the latter added back into the padded input
+    by a kh*kw loop of slice adds. The batch is the innermost axis of the
+    columns and of the padded input, so each window row is one contiguous run
+    of w'*b values in both copies. The columns are rebuilt in the backward
+    pass, never kept on the tape.
+    """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input/kernel, got {x.shape} and {kernel.shape}")
     b, c, h, w = x.shape
     oc, kc, kh, kw = kernel.shape
     if kc != c:
         raise ShapeError(f"conv2d channel mismatch: input has {c}, kernel expects {kc}")
+    if bias.size != oc:
+        raise ShapeError(f"conv2d bias has {bias.size} values for {oc} output channels")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
 
     oh, pt, pb = _same_pad(h, kh, stride)
     ow, pl, pr = _same_pad(w, kw, stride)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    # windows: (b, c, oh, ow, kh, kw)
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    out = np.einsum("bcxykl,ockl->boxy", win, kernel.data, optimize=True)
+    # padded input, (c, hp, wp, b)
+    xp = np.pad(x.data.transpose(1, 2, 3, 0), ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+
+    def columns() -> Array:
+        # windows (c, oh, ow, b, kh, kw) -> rows (c, kh, kw), columns (oh, ow, b)
+        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        return win.transpose(0, 4, 5, 1, 2, 3).reshape(c * kh * kw, oh * ow * b)
+
+    w2 = kernel.data.reshape(oc, -1)
+    out = w2 @ columns()
+    out += bias.data.reshape(oc, 1)
 
     def back(g):
-        gk = np.einsum("bcxykl,boxy->ockl", win, g, optimize=True)
-        gxp = np.zeros_like(xp)
-        for k in range(kh):
-            for l in range(kw):
-                patch = np.einsum("boxy,oc->bcxy", g, kernel.data[:, :, k, l], optimize=True)
-                gxp[:, :, k:k + oh * stride:stride, l:l + ow * stride:stride] += patch
-        gx = gxp[:, :, pt:pt + h, pl:pl + w]
-        return gx, gk
+        g2 = g.transpose(1, 2, 3, 0).reshape(oc, -1)
+        gk = (g2 @ columns().T).reshape(kernel.shape)
+        gx = None
+        if x.requires_grad:
+            gcols = (w2.T @ g2).reshape(c, kh, kw, oh, ow, b)
+            gxp = np.zeros_like(xp)
+            for k in range(kh):
+                for l in range(kw):
+                    gxp[:, k:k + oh * stride:stride, l:l + ow * stride:stride] += gcols[:, k, l]
+            gx = gxp[:, pt:pt + h, pl:pl + w].transpose(3, 0, 1, 2)
+        return gx, gk, g2.sum(axis=1).reshape(bias.shape)
 
-    return record((x, kernel), out, back)
+    out = np.ascontiguousarray(out.reshape(oc, oh, ow, b).transpose(3, 0, 1, 2))
+    return record((x, kernel, bias), out, back)
 
 
 def _batch_norm(x: Array, gamma: Array, beta: Array, running_mean: Array,

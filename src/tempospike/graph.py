@@ -523,14 +523,14 @@ def _blend(net: Network, j: int, now: Tensor, delayed: Tensor) -> Tensor:
 
 def _drive(net: Network, l: int, merged: Tensor, dropout: float,
            rng: np.random.Generator | None) -> Tensor:
-    """Dropout on the merged input, then the layer's weights."""
+    """Dropout on the merged input, then the layer's weights and bias."""
     layer = net.spec.layers[l - 1]
     if dropout:
         keep = (rng.random(merged.shape) >= dropout) / (1.0 - dropout)
         merged = merged * Tensor(keep)
     if layer.kind == "dense":
         return affine(merged, net.params[f"L{l}.w"], net.params[f"L{l}.b"])
-    return conv2d(merged, net.params[f"L{l}.w"], layer.stride) + net.params[f"L{l}.b"]
+    return conv2d(merged, net.params[f"L{l}.w"], net.params[f"L{l}.b"], layer.stride)
 
 
 def _bntt(net: Network, l: int, drive: Tensor, start: int, stop: int,
@@ -711,38 +711,59 @@ def spec_to_dict(spec: ArchSpec) -> dict:
     }
 
 
+_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               bool: ((bool,), "true or false")}
+
+
+def _typed(value, kind: type, field: str):
+    """``value`` if JSON gave it type ``kind``, else ``GraphError``. A bool is
+    neither an int nor a number, and an int counts as a number; nothing is
+    coerced, so a mistyped spec cannot load as a different network."""
+    types, name = _JSON_KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        raise GraphError(f"malformed spec: {field} must be {name}, got {value!r}")
+    return float(value) if kind is float else value
+
+
 def _layer_from_entry(entry) -> LayerSpec:
     if isinstance(entry, LayerSpec):
         return entry
-    if isinstance(entry, int):
+    if isinstance(entry, int) and not isinstance(entry, bool):
         return LayerSpec(kind="dense", out=entry)
     if isinstance(entry, str):
         return parse_layer_token(entry)
     if isinstance(entry, dict):
-        return LayerSpec(kind=entry["kind"], out=int(entry["out"]),
-                         kernel=entry.get("kernel"), stride=entry.get("stride"),
+        kernel, stride = entry.get("kernel"), entry.get("stride")
+        return LayerSpec(kind=entry["kind"], out=_typed(entry["out"], int, "layer out"),
+                         kernel=None if kernel is None else _typed(kernel, int, "layer kernel"),
+                         stride=None if stride is None else _typed(stride, int, "layer stride"),
                          activation=entry.get("activation", "lif"))
     raise GraphError(f"cannot interpret layer entry {entry!r}")
 
 
 def spec_from_dict(d: dict) -> ArchSpec:
+    """The spec a JSON dict describes; integer fields must be JSON integers,
+    flags JSON booleans and initial values JSON numbers, else ``GraphError``."""
     try:
         layers = tuple(_layer_from_entry(e) for e in d["layers"])
         tskips = tuple(
-            TSkip(origin=int(e["origin"]), dest=int(e["dest"]), delta_t=int(e["delta_t"]),
-                  merge=e.get("merge", "concat"), alpha=bool(e.get("alpha", False)),
-                  alpha_init=float(e.get("alpha_init", 0.0)))
+            TSkip(origin=_typed(e["origin"], int, "edge origin"),
+                  dest=_typed(e["dest"], int, "edge dest"),
+                  delta_t=_typed(e["delta_t"], int, "edge delta_t"),
+                  merge=e.get("merge", "concat"),
+                  alpha=_typed(e.get("alpha", False), bool, "edge alpha"),
+                  alpha_init=_typed(e.get("alpha_init", 0.0), float, "edge alpha_init"))
             for e in d.get("tskips", ())
         )
         return ArchSpec(
-            input_shape=tuple(d["input"]),
+            input_shape=tuple(_typed(v, int, "input size") for v in d["input"]),
             layers=layers,
             tskips=tskips,
-            T=int(d["T"]),
-            bntt=bool(d.get("bntt", False)),
+            T=_typed(d["T"], int, "T"),
+            bntt=_typed(d.get("bntt", False), bool, "bntt"),
             reset=d.get("reset", "soft"),
-            leak_init=float(d.get("leak_init", 0.6)),
-            threshold_init=float(d.get("threshold_init", 1.0)),
+            leak_init=_typed(d.get("leak_init", 0.6), float, "leak_init"),
+            threshold_init=_typed(d.get("threshold_init", 1.0), float, "threshold_init"),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise GraphError(f"malformed spec: {err!r}") from None

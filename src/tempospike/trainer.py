@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -354,30 +355,48 @@ def save_checkpoint(path, net: Network, extra: dict | None = None) -> None:
     np.savez_compressed(path, **arrays)
 
 
+def _read_npz(path) -> dict[str, np.ndarray]:
+    """Every array of an npz archive; a path that cannot be read as one
+    raises ``TrainError``."""
+    try:
+        with open(path, "rb") as fh:
+            blob = np.load(fh, allow_pickle=False)
+            if not isinstance(blob, np.lib.npyio.NpzFile):
+                raise TrainError(f"checkpoint {path} is a single array, not an npz archive")
+            with blob:
+                return {key: blob[key] for key in blob.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as err:
+        raise TrainError(f"cannot read checkpoint {path}: {err}") from err
+
+
 def load_checkpoint(path) -> tuple[Network, dict]:
     """Rebuild the network from the stored spec and seed, then load its
     parameters and running statistics. Every ``p::``/``s::`` array must be
     present with the rebuilt shape; the rebuilt shortcut selections are the
-    ones used, and the stored ``sel::`` arrays must agree with them."""
-    with np.load(path, allow_pickle=False) as blob:
-        meta = json.loads(bytes(blob["meta"]).decode("utf-8"))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise TrainError(f"unsupported checkpoint version {meta.get('version')}")
-        spec = spec_from_dict(meta["spec"])
-        net = Network.build(spec, seed=int(meta["seed"]))
-        targets = {f"p::{name}": p.data for name, p in net.params.items()}
-        targets.update((f"s::{name}", arr) for name, arr in net.state.items())
-        for key, target in targets.items():
-            if key not in blob.files:
-                raise TrainError(f"checkpoint lacks array {key!r}")
-            stored = blob[key]
-            if stored.shape != target.shape:
-                raise TrainError(f"checkpoint array {key!r} has shape {stored.shape}, "
-                                 f"the network needs {target.shape}")
-            target[...] = stored
-        for j, ws in enumerate(net.shortcuts):
-            key = f"sel::{j}"
-            if key not in blob.files or tuple(blob[key].tolist()) != ws.selection:
-                raise TrainError(f"checkpoint shortcut selection {key!r} differs from the "
-                                 f"one its spec and seed rebuild")
+    ones used, and the stored ``sel::`` arrays must agree with them. A file
+    that is not an npz archive with a JSON ``meta`` record raises
+    ``TrainError``."""
+    arrays = _read_npz(path)
+    try:
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    except (KeyError, ValueError) as err:
+        raise TrainError(f"checkpoint {path} has no readable 'meta' record") from err
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise TrainError(f"unsupported checkpoint version {meta.get('version')}")
+    spec = spec_from_dict(meta["spec"])
+    net = Network.build(spec, seed=int(meta["seed"]))
+    targets = {f"p::{name}": p.data for name, p in net.params.items()}
+    targets.update((f"s::{name}", arr) for name, arr in net.state.items())
+    for key, target in targets.items():
+        if key not in arrays:
+            raise TrainError(f"checkpoint lacks array {key!r}")
+        if arrays[key].shape != target.shape:
+            raise TrainError(f"checkpoint array {key!r} has shape {arrays[key].shape}, "
+                             f"the network needs {target.shape}")
+        target[...] = arrays[key]
+    for j, ws in enumerate(net.shortcuts):
+        key = f"sel::{j}"
+        if key not in arrays or tuple(arrays[key].tolist()) != ws.selection:
+            raise TrainError(f"checkpoint shortcut selection {key!r} differs from the "
+                             f"one its spec and seed rebuild")
     return net, meta.get("extra", {})

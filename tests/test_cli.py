@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -256,6 +257,18 @@ def _spec_file(tmp_path, **fields):
 BROKEN_INPUTS = {
     "spec T not an integer": lambda tmp, data: (
         "train", _spec_file(tmp, T="x"), data / "train"),
+    "spec T a float": lambda tmp, data: (
+        "train", _spec_file(tmp, T=6.0), data / "train"),
+    "spec edge dest a boolean": lambda tmp, data: (
+        "train", _spec_file(tmp, tskips=[{"origin": 0, "dest": True, "delta_t": 1}]),
+        data / "train"),
+    "spec bntt a string": lambda tmp, data: (
+        "train", _spec_file(tmp, bntt="false"), data / "train"),
+    "spec layer width a fraction": lambda tmp, data: (
+        "train", _spec_file(tmp, layers=[{"kind": "dense", "out": 8.5}, 3]), data / "train"),
+    "spec edge delay a string": lambda tmp, data: (
+        "train", _spec_file(tmp, tskips=[{"origin": 0, "dest": 1, "delta_t": "1"}]),
+        data / "train"),
     "missing spec file": lambda tmp, data: (
         "train", tmp / "absent.json", data / "train"),
     "missing data directory": lambda tmp, data: (
@@ -302,6 +315,12 @@ def test_divergence_exits_3(tmp_path, tiny_data, tiny_spec):
     assert code == EXIT_DIVERGENCE
 
 
+def npy_bytes(array: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
 class TestCheckpointInput:
     def _tampered(self, tmp_path, spec, edit):
         """A checkpoint of ``spec``'s network with its arrays passed through ``edit``."""
@@ -322,6 +341,23 @@ class TestCheckpointInput:
             "statistic of one step"])
     def test_energy_rejects_bad_arrays(self, tmp_path, tiny_data, edit):
         ckpt = self._tampered(tmp_path, mlp_spec([4, 8, 3], T=6, bntt=True), edit)
+        code = main(["energy", "--checkpoint", str(ckpt), "--data", str(tiny_data / "test"),
+                     "--out", str(tmp_path / "e")])
+        assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("write", [
+        lambda path: None,
+        lambda path: path.mkdir(),
+        lambda path: path.write_text("not an archive\n"),
+        lambda path: path.write_bytes(b"PK\x03\x04truncated"),
+        lambda path: path.write_bytes(b""),
+        lambda path: path.write_bytes(npy_bytes(np.zeros(3))),
+        lambda path: np.savez(path, **{"p::L1.w": np.zeros((4, 8))}),
+    ], ids=["missing path", "directory", "text file", "broken zip", "empty file",
+            "single array", "npz without meta"])
+    def test_energy_rejects_unreadable_checkpoint(self, tmp_path, tiny_data, write):
+        ckpt = tmp_path / "net.npz"
+        write(ckpt)
         code = main(["energy", "--checkpoint", str(ckpt), "--data", str(tiny_data / "test"),
                      "--out", str(tmp_path / "e")])
         assert code == EXIT_VALIDATION

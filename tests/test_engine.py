@@ -61,38 +61,111 @@ class TestMatmul:
         check_grads(lambda: matmul(a, b).sum(), [a, b], tol=1e-6)
 
 
+def conv_reference(x, k, bias, g, stride):
+    """Loop-by-loop "same"-padded cross-correlation plus bias, and the
+    gradients of sum(out * g) with respect to x, k and bias."""
+    b, c, h, w = x.shape
+    oc, _, kh, kw = k.shape
+    oh, ow = -(-h // stride), -(-w // stride)
+    top = max((oh - 1) * stride + kh - h, 0) // 2
+    left = max((ow - 1) * stride + kw - w, 0) // 2
+    out = np.empty((b, oc, oh, ow))
+    gx, gk, gb = np.zeros_like(x), np.zeros_like(k), np.zeros(oc)
+    for n, o, y, q in np.ndindex(out.shape):
+        acc = bias[o]
+        gb[o] += g[n, o, y, q]
+        for ci, i, j in np.ndindex(c, kh, kw):
+            r, s = y * stride + i - top, q * stride + j - left
+            if 0 <= r < h and 0 <= s < w:
+                acc += x[n, ci, r, s] * k[o, ci, i, j]
+                gx[n, ci, r, s] += g[n, o, y, q] * k[o, ci, i, j]
+                gk[o, ci, i, j] += g[n, o, y, q] * x[n, ci, r, s]
+        out[n, o, y, q] = acc
+    return out, gx, gk, gb
+
+
+def conv_operands(rng, x_shape, k_shape, x_grad=True):
+    x = Tensor(rng.normal(size=x_shape), requires_grad=x_grad, name="x")
+    k = Tensor(rng.normal(size=k_shape), requires_grad=True, name="k")
+    b = Tensor(rng.normal(size=(k_shape[0], 1, 1)), requires_grad=True, name="b")
+    return x, k, b
+
+
+def rel_close(a, ref, tol=1e-12):
+    return np.abs(a - ref).max() <= tol * np.abs(ref).max()
+
+
 class TestConv2d:
     def test_one_by_one_identity(self):
         x = Tensor(np.arange(25, dtype=float).reshape(1, 1, 5, 5))
         k = Tensor(np.ones((1, 1, 1, 1)))
-        out = conv2d(x, k, stride=1)
+        out = conv2d(x, k, Tensor(np.zeros((1, 1, 1))), stride=1)
         assert np.array_equal(out.data, x.data)
 
     def test_zero_input_zero_output(self):
         x = Tensor(np.zeros((2, 3, 4, 4)))
         k = Tensor(np.random.default_rng(0).normal(size=(5, 3, 3, 3)))
-        assert not conv2d(x, k).data.any()
+        assert not conv2d(x, k, Tensor(np.zeros((5, 1, 1)))).data.any()
 
     def test_same_padding_output_size(self):
         x = Tensor(np.zeros((1, 1, 5, 5)))
         k = Tensor(np.zeros((2, 1, 3, 3)))
-        assert conv2d(x, k, stride=2).shape == (1, 2, 3, 3)
+        assert conv2d(x, k, Tensor(np.zeros((2, 1, 1))), stride=2).shape == (1, 2, 3, 3)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
+            conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))),
+                   Tensor(np.zeros((1, 1, 1))))
+
+    def test_bias_size_mismatch(self):
+        with pytest.raises(ShapeError):
+            conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 3, 3))),
+                   Tensor(np.zeros((2, 1, 1))))
+
+    @pytest.mark.parametrize("x_shape, k_shape, stride", [
+        ((2, 2, 5, 5), (3, 2, 3, 3), 1),
+        ((2, 2, 5, 7), (3, 2, 3, 3), 2),   # non-square input
+        ((2, 3, 7, 5), (2, 3, 3, 3), 3),
+        ((2, 2, 6, 5), (3, 2, 2, 2), 1),   # even kernels
+        ((2, 2, 6, 7), (2, 2, 4, 4), 2),
+        ((2, 2, 3, 2), (2, 2, 5, 5), 1),   # kernel larger than the input
+        ((2, 3, 4, 6), (4, 3, 1, 1), 1),   # 1x1
+        ((2, 3, 5, 4), (2, 3, 1, 1), 2),
+    ])
+    def test_matches_loop_reference(self, x_shape, k_shape, stride):
+        rng = np.random.default_rng(sum(x_shape + k_shape) + stride)
+        x, k, b = conv_operands(rng, x_shape, k_shape)
+        with Tape() as tape:
+            out = conv2d(x, k, b, stride)
+            g = rng.normal(size=out.shape)
+            loss = (out * Tensor(g)).sum()
+        grads = tape.backward(loss)
+        ref_out, ref_gx, ref_gk, ref_gb = conv_reference(x.data, k.data, b.data.ravel(), g, stride)
+        assert out.shape == ref_out.shape
+        assert rel_close(out.data, ref_out)
+        assert rel_close(grads[x], ref_gx)
+        assert rel_close(grads[k], ref_gk)
+        assert grads[b].shape == b.shape and rel_close(grads[b].ravel(), ref_gb)
 
     def test_gradients_vs_finite_differences(self):
         rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True, name="x")
-        k = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True, name="k")
-        check_grads(lambda: conv2d(x, k, stride=1).sum(), [x, k], tol=1e-5)
+        x, k, b = conv_operands(rng, (1, 2, 5, 5), (2, 2, 3, 3))
+        check_grads(lambda: conv2d(x, k, b, stride=1).sum(), [x, k, b], tol=1e-5)
 
     def test_strided_gradients(self):
         rng = np.random.default_rng(4)
-        x = Tensor(rng.normal(size=(2, 1, 5, 5)), requires_grad=True)
-        k = Tensor(rng.normal(size=(3, 1, 3, 3)), requires_grad=True)
-        check_grads(lambda: square(conv2d(x, k, stride=2)).sum(), [x, k], tol=1e-5)
+        x, k, b = conv_operands(rng, (2, 1, 5, 5), (3, 1, 3, 3))
+        check_grads(lambda: square(conv2d(x, k, b, stride=2)).sum(), [x, k, b], tol=1e-5)
+
+    def test_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(5)
+        x, k, b = conv_operands(rng, (2, 2, 4, 4), (3, 2, 3, 3), x_grad=False)
+        with Tape() as tape:
+            loss = square(conv2d(x, k, b, stride=1)).sum()
+        grads = tape.backward(loss)
+        assert set(grads) == {k, b}
+        conv_node = tape.nodes[0]
+        assert conv_node.backward(np.ones(conv_node.output.shape))[0] is None
 
 
 class TestSpike:

@@ -374,6 +374,40 @@ class TestSerialization:
         assert spec.layers[0].out == 80
         assert spec.layers[-1].activation == "li"
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(T=2.5),
+        lambda d: d.update(T=5.0),
+        lambda d: d.update(T=True),
+        lambda d: d.update(T="5"),
+        lambda d: d.update(bntt="false"),
+        lambda d: d.update(bntt=0),
+        lambda d: d.update(input=[10.0]),
+        lambda d: d.update(leak_init=True),
+        lambda d: d["layers"][0].update(out=8.0),
+        lambda d: d["layers"][0].update(out=False),
+        lambda d: d.update(layers=[True, 4]),
+        lambda d: d["tskips"][0].update(origin=1.5),
+        lambda d: d["tskips"][0].update(dest="2"),
+        lambda d: d["tskips"][0].update(delta_t=True),
+        lambda d: d["tskips"][0].update(alpha=1),
+        lambda d: d["tskips"][0].update(alpha_init="0.3"),
+    ], ids=["T fraction", "T float", "T bool", "T string", "bntt string", "bntt int",
+            "input float", "leak_init bool", "out float", "out bool", "layer entry bool",
+            "origin fraction", "dest string", "delta_t bool", "alpha int",
+            "alpha_init string"])
+    def test_mistyped_field_rejected(self, edit):
+        d = spec_to_dict(mlp_spec([10, 8, 4], T=5, tskips=[TSkip(1, 2, 3)]))
+        edit(d)
+        with pytest.raises(GraphError):
+            spec_from_dict(d)
+
+    def test_conv_fields_are_integers(self):
+        d = spec_to_dict(from_shorthand("2x8x8-3c4s1-5", T=3))
+        assert spec_from_dict(d) == from_shorthand("2x8x8-3c4s1-5", T=3)
+        d["layers"][0]["stride"] = 1.0
+        with pytest.raises(GraphError, match="layer stride"):
+            spec_from_dict(d)
+
     def test_canonical_dict_round_trip(self):
         spec = mlp_spec([10, 8, 4], T=5, tskips=[TSkip(1, 2, 3)])
         assert spec_from_dict(spec_to_dict(spec)) == spec
