@@ -30,6 +30,7 @@ from .graph import (
 )
 from .metrics import energy_total, profile_network
 from .trainer import (
+    ConfigError,
     DivergenceError,
     TrainConfig,
     TrainError,
@@ -69,6 +70,8 @@ def _write_run_record(out_dir: Path, command: str, args: argparse.Namespace) -> 
 def cmd_synth(args) -> int:
     if args.D >= args.T:
         raise UsageError(f"--D must be smaller than --T (got D={args.D}, T={args.T})")
+    if args.n < 1 or args.n_test < 0:
+        raise UsageError(f"need --n >= 1 and --n-test >= 0, got {args.n} and {args.n_test}")
     out = Path(args.out)
     _write_run_record(out, "synth", args)
     data_rng = split_seed(args.seed, "data")
@@ -95,17 +98,14 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_train(args) -> int:
     out = Path(args.out)
+    cfg = _train_config(args)
     spec = load_spec(args.spec)
     violations = validate(spec)
     if violations:
-        print("invalid architecture:", file=sys.stderr)
-        for v in violations:
-            print(f"  - {v}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise SpecValidationError(violations)
     resolved = _write_run_record(out, "train", args)
     train_ds = load_dataset(args.data)
     val_ds = load_dataset(args.val_data) if args.val_data else None
-    cfg = _train_config(args)
     net, records = train(spec, train_ds, cfg, val_ds=val_ds, log_path=out / "metrics.csv")
     save_checkpoint(out / "checkpoint.npz", net, extra={"train_config": resolved})
     last = records[-1]
@@ -169,15 +169,18 @@ def _apply_ablation(spec: ArchSpec, axis: str, value: int) -> ArchSpec:
 
 
 def cmd_ablate(args) -> int:
-    grid = [int(v) for v in args.grid.split(",") if v.strip()]
+    try:
+        grid = [int(v) for v in args.grid.split(",") if v.strip()]
+    except ValueError:
+        raise UsageError(f"--grid must list integers, got {args.grid!r}") from None
     if not grid:
         raise UsageError("--grid must name at least one value")
+    cfg = _train_config(args)
     out = Path(args.out)
     base_spec = load_spec(args.spec)
     _write_run_record(out, "ablate", args)
     train_ds = load_dataset(args.data)
     val_ds = load_dataset(args.val_data) if args.val_data else None
-    cfg = _train_config(args)
     rows = ["axis,value,status,accuracy,loss,spike_rate,energy_mj"]
     for value in grid:
         try:
@@ -206,11 +209,11 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_energy(args) -> int:
+    cfg = TrainConfig(epochs=1, batch_size=args.batch, seed=args.seed)
     out = Path(args.out)
     net, _ = load_checkpoint(args.checkpoint)
     _write_run_record(out, "energy", args)
     ds = load_dataset(args.data)
-    cfg = TrainConfig(epochs=1, batch_size=args.batch, seed=args.seed)
     _, _, stats = evaluate(net, ds, cfg)
     report = energy_total(profile_network(net.spec, stats))
     (out / "energy.csv").write_text(report.to_csv(), encoding="utf-8")
@@ -297,7 +300,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as err:
+    except (UsageError, ConfigError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (SpecValidationError,) as err:

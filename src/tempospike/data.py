@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,8 @@ class BinningConfig:
     def __post_init__(self):
         if self.T < 1:
             raise DataError(f"T must be >= 1, got {self.T}")
+        if self.window is not None and not 0 < self.window < math.inf:
+            raise DataError(f"window must be finite and positive, got {self.window}")
 
 
 def _iter_rows(text: str, n_fields: int, what: str):
@@ -142,7 +145,9 @@ def parse_audio_events(text: str, num_units: int | None = None) -> AudioSpikeStr
 def _time_bins(ts: np.ndarray, window: float, T: int) -> np.ndarray:
     if len(ts) and ts.max() > window:
         raise DataError(f"window {window} does not cover stream (max t = {ts.max()})")
-    bins = np.floor(ts / (window / T)).astype(np.int64)
+    # t*T is an exact integer, so an event on a bin boundary is not rounded
+    # into the bin before it, as t / (window/T) can be
+    bins = np.floor(ts * T / window).astype(np.int64)
     return np.minimum(bins, T - 1)
 
 

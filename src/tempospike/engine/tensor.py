@@ -20,10 +20,6 @@ class EngineError(Exception):
     """Base error for tensor/tape failures."""
 
 
-class NonFiniteError(EngineError):
-    """A tensor ended up holding NaN or Inf."""
-
-
 class ShapeError(EngineError):
     """Operands have incompatible shapes."""
 
@@ -34,14 +30,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        arr = np.asarray(data, dtype=np.float64)
-        # cheap screen first: any NaN/Inf poisons the sum; a finite-but-huge
-        # sum overflow is re-checked elementwise before raising
-        if not math.isfinite(float(arr.sum())) and not np.all(np.isfinite(arr)):
-            raise NonFiniteError(
-                f"non-finite values in tensor{' ' + name if name else ''} of shape {arr.shape}"
-            )
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.name = name
 

@@ -16,6 +16,7 @@ which keeps the graph causal by construction.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -37,7 +38,7 @@ from .engine import (
     sigmoid,
     stack,
 )
-from .neuron import LifParams, LifState, lif_step
+from .neuron import LifParams, LifState, init_violations, lif_step
 
 LAYER_KINDS = ("dense", "conv2d")
 ACTIVATIONS = ("lif", "relu", "li", "linear")
@@ -180,10 +181,7 @@ def validate(spec: ArchSpec) -> list[str]:
         v.append("network has no layers")
     if spec.reset not in ("soft", "hard"):
         v.append(f"unknown reset mode {spec.reset!r}")
-    if not 0.0 < spec.leak_init < 1.0:
-        v.append(f"leak_init must lie in (0, 1), got {spec.leak_init}")
-    if spec.threshold_init <= 0.0:
-        v.append(f"threshold_init must be positive, got {spec.threshold_init}")
+    v += init_violations(spec.leak_init, spec.threshold_init)
 
     for i, layer in enumerate(spec.layers, start=1):
         if layer.kind not in LAYER_KINDS:
@@ -219,6 +217,8 @@ def validate(spec: ArchSpec) -> list[str]:
             continue
         if e.delta_t < 0:
             v.append(f"{tag}: negative delay")
+        if not math.isfinite(e.alpha_init):
+            v.append(f"{tag}: alpha_init must be finite, got {e.alpha_init}")
         if e.origin > e.dest and e.delta_t == 0:
             v.append(f"{tag}: same-step cycle (backward edge needs delay >= 1)")
         if e.delta_t >= spec.T:
@@ -478,6 +478,8 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
         raise GraphError(f"input time dim {x.shape[0]} != spec.T {spec.T}")
     if tuple(x.shape[2:]) != spec.input_shape:
         raise GraphError(f"input feature shape {x.shape[2:]} != {spec.input_shape}")
+    if not np.isfinite(x).all():
+        raise GraphError("input holds non-finite values")
     if dropout and not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout must lie in [0, 1), got {dropout}")
     training = mode == "train"

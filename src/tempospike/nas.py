@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import ArchSpec, LayerSpec, Network, TSkip, param_count, run_forward, validate
+from .neuron import init_violations
 
 KERNEL_EPS = 1e-6
 
@@ -55,8 +56,11 @@ class SearchSpace:
         if not 1 <= lo <= hi <= self.T - 1:
             raise SearchError(
                 f"delta_t range {self.delta_t_range} must lie within [1, T-1={self.T - 1}]")
-        if self.param_budget is not None and self.param_budget <= 0:
-            raise SearchError("param budget must be positive")
+        if self.param_budget is not None and not 0 < self.param_budget < math.inf:
+            raise SearchError(f"param_budget must be finite and positive, got {self.param_budget}")
+        violations = init_violations(self.leak_init, self.threshold_init)
+        if violations:
+            raise SearchError("; ".join(violations))
 
 
 @dataclass(frozen=True)
@@ -171,8 +175,8 @@ def random_search(space: SearchSpace, n_candidates: int, probe_batch: np.ndarray
     candidate gets its own pre-split seed, so serial and parallel execution
     agree exactly.
     """
-    if n_candidates < k:
-        raise SearchError(f"n_candidates={n_candidates} < k={k}")
+    if not 1 <= k <= n_candidates:
+        raise SearchError(f"need 1 <= k <= n_candidates, got k={k}, n_candidates={n_candidates}")
     seeds = np.random.SeedSequence(master_seed).spawn(n_candidates)
     specs = []
     for ss in seeds:

@@ -10,6 +10,7 @@ normalized drive exceeds the threshold, i.e. U/V_th - 1 > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,17 @@ THRESHOLD_MIN = 1e-2
 RESET_MODES = ("soft", "hard")
 
 
+def init_violations(leak: float, threshold: float) -> list[str]:
+    """Why an initial leak or threshold lies outside the range that training
+    clamps it to; empty when both lie inside."""
+    v = []
+    if not LEAK_MIN <= leak <= LEAK_MAX:
+        v.append(f"leak_init must lie in [{LEAK_MIN}, {LEAK_MAX}], got {leak}")
+    if not THRESHOLD_MIN <= threshold < math.inf:
+        v.append(f"threshold_init must be finite and >= {THRESHOLD_MIN}, got {threshold}")
+    return v
+
+
 @dataclass
 class LifParams:
     """Per-layer scalar leak and threshold."""
@@ -34,10 +46,9 @@ class LifParams:
     @classmethod
     def create(cls, leak: float = 0.6, threshold: float = 1.0,
                reset_mode: str = "soft") -> "LifParams":
-        if not 0.0 < leak < 1.0:
-            raise ValueError(f"leak must lie in (0, 1), got {leak}")
-        if not threshold > 0.0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
+        violations = init_violations(leak, threshold)
+        if violations:
+            raise ValueError("; ".join(violations))
         if reset_mode not in RESET_MODES:
             raise ValueError(f"reset_mode must be one of {RESET_MODES}, got {reset_mode!r}")
         return cls(

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .engine import (
-    NonFiniteError,
     SurrogateConfig,
     Tape,
     Tensor,
@@ -46,6 +45,10 @@ class TrainError(Exception):
 
 class DivergenceError(TrainError):
     """Training produced non-finite values; aborted with a diagnostic."""
+
+
+class ConfigError(ValueError):
+    """A training setting lies outside its range."""
 
 
 def split_seed(master: int, label: str) -> np.random.Generator:
@@ -97,7 +100,8 @@ class AdamState:
 def adam_step(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
               state: AdamState, lr: float) -> AdamState:
     """Standard Adam update with bias correction; parameters without a
-    gradient on this step are left untouched."""
+    gradient on this step are left untouched, and a non-finite gradient
+    raises ``DivergenceError``."""
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
@@ -106,7 +110,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
         if g is None:
             continue
         if not np.all(np.isfinite(g)):
-            raise TrainError(f"non-finite gradient for parameter {name!r}")
+            raise DivergenceError(f"non-finite gradient for parameter {name!r}")
         g = np.asarray(g, dtype=np.float64).reshape(p.data.shape)
         m = state.m.get(name)
         if m is None:
@@ -170,10 +174,13 @@ class TrainConfig:
     surrogate_alpha: float = 2.0
 
     def __post_init__(self):
-        if self.lr_init <= 0:
-            raise ValueError(f"lr_init must be positive, got {self.lr_init}")
+        for name in ("epochs", "batch_size", "step_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.lr_init < math.inf:
+            raise ConfigError(f"lr_init must be finite and positive, got {self.lr_init}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
 
 
 @dataclass
@@ -283,20 +290,14 @@ def train(spec: ArchSpec, train_ds: Dataset, cfg: TrainConfig,
                 xb = np.transpose(train_ds.inputs[idx],
                                   (1, 0) + tuple(range(2, train_ds.inputs.ndim)))
                 yb = train_ds.labels[idx]
-                try:
-                    with Tape() as tape:
-                        result = run_forward(net, xb, mode="train", surr=surr,
-                                             dropout=cfg.dropout, rng=dropout_rng)
-                        logits = readout_logits(result.outputs)
-                        batch_loss = loss(logits, yb, cfg.loss)
-                    grads = tape.backward(batch_loss)
-                except NonFiniteError as err:
-                    raise DivergenceError(
-                        f"training diverged at epoch {epoch}, iteration {iteration}: {err}"
-                    ) from err
+                with Tape() as tape:
+                    result = run_forward(net, xb, mode="train", surr=surr,
+                                         dropout=cfg.dropout, rng=dropout_rng)
+                    logits = readout_logits(result.outputs)
+                    batch_loss = loss(logits, yb, cfg.loss)
                 if not math.isfinite(batch_loss.item()):
-                    raise DivergenceError(
-                        f"loss became non-finite at epoch {epoch}, iteration {iteration}")
+                    raise DivergenceError(f"loss is {batch_loss.item()}")
+                grads = tape.backward(batch_loss)
                 clip_grads(grads, cfg.grad_clip, tape.grad_norm)
                 adam_step(net.params, grads, adam, lr)
                 for i, layer in enumerate(spec.layers, start=1):
@@ -317,6 +318,8 @@ def train(spec: ArchSpec, train_ds: Dataset, cfg: TrainConfig,
                 log_fh.write(rec.csv_row() + "\n")
             if val_ds is not None:
                 vloss, vacc, vstats = evaluate(net, val_ds, cfg)
+                if not math.isfinite(vloss):
+                    raise DivergenceError(f"validation loss is {vloss}")
                 vrec = EpochRecord(epoch, "val", vloss, vacc, vstats.overall_rate(), lr)
                 records.append(vrec)
                 if log_fh:
@@ -325,6 +328,9 @@ def train(spec: ArchSpec, train_ds: Dataset, cfg: TrainConfig,
                 log_fh.flush()
             if progress is not None and progress(epoch, records):
                 break
+    except DivergenceError as err:
+        raise DivergenceError(f"training diverged at epoch {epoch}, iteration {iteration}: "
+                              f"{err}") from err
     finally:
         if log_fh:
             log_fh.close()
@@ -372,9 +378,9 @@ def _read_npz(path) -> dict[str, np.ndarray]:
 def load_checkpoint(path) -> tuple[Network, dict]:
     """Rebuild the network from the stored spec and seed, then load its
     parameters and running statistics. Every ``p::``/``s::`` array must be
-    present with the rebuilt shape; the rebuilt shortcut selections are the
-    ones used, and the stored ``sel::`` arrays must agree with them. A file
-    that is not an npz archive with a JSON ``meta`` record raises
+    present, finite and of the rebuilt shape; the rebuilt shortcut selections
+    are the ones used, and the stored ``sel::`` arrays must agree with them. A
+    file that is not an npz archive with a JSON ``meta`` record raises
     ``TrainError``."""
     arrays = _read_npz(path)
     try:
@@ -393,6 +399,8 @@ def load_checkpoint(path) -> tuple[Network, dict]:
         if arrays[key].shape != target.shape:
             raise TrainError(f"checkpoint array {key!r} has shape {arrays[key].shape}, "
                              f"the network needs {target.shape}")
+        if arrays[key].dtype.kind not in "biuf" or not np.isfinite(arrays[key]).all():
+            raise TrainError(f"checkpoint array {key!r} must hold finite numbers")
         target[...] = arrays[key]
     for j, ws in enumerate(net.shortcuts):
         key = f"sel::{j}"

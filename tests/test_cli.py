@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -253,50 +254,138 @@ def _spec_file(tmp_path, **fields):
     return path
 
 
-# Each case gives the command and its input paths; the readout width is 3.
+def _space_file(tmp_path, **fields):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"input_shape": [6], "out_units": 3, "T": 6,
+                                "depth_range": [2, 3], "width_range": [4, 8],
+                                "delta_t_range": [1, 4], **fields}))
+    return path
+
+
+def _checkpoint(tmp_path, spec=mlp_spec([4, 8, 3], T=6), edit=lambda arrays: None):
+    """A checkpoint of ``spec``'s network with its arrays passed through ``edit``."""
+    ckpt = tmp_path / "net.npz"
+    save_checkpoint(ckpt, Network.build(spec, seed=0))
+    with np.load(ckpt) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    edit(arrays)
+    np.savez_compressed(ckpt, **arrays)
+    return ckpt
+
+
+def _train(spec, data, *flags):
+    return ["train", "--spec", str(spec), "--data", str(data), "--epochs", "1", *flags]
+
+
+def _ablate(tmp, data, *flags):
+    return ["ablate", "--axis", "delta_t", "--grid", "1", "--spec", str(_spec_file(tmp)),
+            "--data", str(data / "train"), "--epochs", "1", *flags]
+
+
+def _search(space, *flags):
+    return ["search", "--space", str(space), "--n", "2", "--k", "1", "--probe-batch", "4",
+            *flags]
+
+
+def _energy(ckpt, data, *flags):
+    return ["energy", "--checkpoint", str(ckpt), "--data", str(data / "test"), *flags]
+
+
+def _poison(key, value):
+    """A checkpoint edit that writes ``value`` into the first entry of ``key``."""
+    def edit(arrays):
+        arrays[key].flat[0] = value
+    return edit
+
+
+def _synth(*flags):
+    return ["synth", "--D", "2", "--T", "6", "--n", "4", "--n-test", "2", *flags]
+
+
+# Each row gives the exit code and the command line, without --out, built from
+# a temporary directory and the tiny dataset; the readout width is 3.
 BROKEN_INPUTS = {
-    "spec T not an integer": lambda tmp, data: (
-        "train", _spec_file(tmp, T="x"), data / "train"),
-    "spec T a float": lambda tmp, data: (
-        "train", _spec_file(tmp, T=6.0), data / "train"),
-    "spec edge dest a boolean": lambda tmp, data: (
-        "train", _spec_file(tmp, tskips=[{"origin": 0, "dest": True, "delta_t": 1}]),
-        data / "train"),
-    "spec bntt a string": lambda tmp, data: (
-        "train", _spec_file(tmp, bntt="false"), data / "train"),
-    "spec layer width a fraction": lambda tmp, data: (
-        "train", _spec_file(tmp, layers=[{"kind": "dense", "out": 8.5}, 3]), data / "train"),
-    "spec edge delay a string": lambda tmp, data: (
-        "train", _spec_file(tmp, tskips=[{"origin": 0, "dest": 1, "delta_t": "1"}]),
-        data / "train"),
-    "missing spec file": lambda tmp, data: (
-        "train", tmp / "absent.json", data / "train"),
-    "missing data directory": lambda tmp, data: (
-        "train", _spec_file(tmp), tmp / "absent"),
-    "manifest without T": lambda tmp, data: (
-        "train", _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.pop("T"))),
-    "label above the readout width": lambda tmp, data: (
-        "train", _spec_file(tmp), _edit_manifest(data / "train", _set_first_label(12))),
-    "negative label": lambda tmp, data: (
-        "train", _spec_file(tmp), _edit_manifest(data / "train", _set_first_label(-1))),
-    "space file with an unknown field": lambda tmp, data: (
-        "search", tmp / "space.json"),
+    "spec T not an integer": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp, T="x"), data / "train")),
+    "spec T a float": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp, T=6.0), data / "train")),
+    "spec edge dest a boolean": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp, tskips=[{"origin": 0, "dest": True, "delta_t": 1}]), data / "train")),
+    "spec bntt a string": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp, bntt="false"), data / "train")),
+    "spec layer width a fraction": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp, layers=[{"kind": "dense", "out": 8.5}, 3]), data / "train")),
+    "spec edge delay a string": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp, tskips=[{"origin": 0, "dest": 1, "delta_t": "1"}]), data / "train")),
+    "spec threshold_init NaN": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp, threshold_init=float("nan")), data / "train")),
+    "spec threshold_init infinite": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp, threshold_init=float("inf")), data / "train")),
+    "spec threshold_init below the clamp": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp, threshold_init=0.005), data / "train")),
+    "spec leak_init above the clamp": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp, leak_init=0.9995), data / "train")),
+    "spec edge alpha_init NaN": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp, tskips=[{"origin": 0, "dest": 1, "delta_t": 1, "alpha": True,
+                                 "alpha_init": float("nan")}]), data / "train")),
+    "missing spec file": (EXIT_VALIDATION, lambda tmp, data: _train(
+        tmp / "absent.json", data / "train")),
+    "missing data directory": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), tmp / "absent")),
+    "manifest without T": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.pop("T")))),
+    "manifest window_us NaN": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(window_us=math.nan)))),
+    "manifest window_us infinite": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(window_us=math.inf)))),
+    "label above the readout width": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", _set_first_label(12)))),
+    "negative label": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", _set_first_label(-1)))),
+    "train --lr 0": (EXIT_USAGE, lambda tmp, data: _train(
+        _spec_file(tmp), data / "train", "--lr", "0")),
+    "train --dropout 1.5": (EXIT_USAGE, lambda tmp, data: _train(
+        _spec_file(tmp), data / "train", "--dropout", "1.5")),
+    "train --batch 0": (EXIT_USAGE, lambda tmp, data: _train(
+        _spec_file(tmp), data / "train", "--batch", "0")),
+    "train --epochs 0": (EXIT_USAGE, lambda tmp, data: _train(
+        _spec_file(tmp), data / "train", "--epochs", "0")),
+    "train --every 0": (EXIT_USAGE, lambda tmp, data: _train(
+        _spec_file(tmp), data / "train", "--every", "0")),
+    "train --lr 1e160 with cross-entropy": (EXIT_DIVERGENCE, lambda tmp, data: _train(
+        _spec_file(tmp), data / "train", "--epochs", "3", "--batch", "40", "--lr", "1e160")),
+    "ablate --lr 0": (EXIT_USAGE, lambda tmp, data: _ablate(tmp, data, "--lr", "0")),
+    "ablate --dropout 1.5": (EXIT_USAGE, lambda tmp, data: _ablate(tmp, data, "--dropout", "1.5")),
+    "ablate --grid with a word": (EXIT_USAGE, lambda tmp, data: _ablate(
+        tmp, data, "--grid", "4,x")),
+    "energy --batch 0": (EXIT_USAGE, lambda tmp, data: _energy(
+        _checkpoint(tmp), data, "--batch", "0")),
+    "checkpoint with a NaN weight": (EXIT_VALIDATION, lambda tmp, data: _energy(
+        _checkpoint(tmp, edit=_poison("p::L1.w", np.nan)), data)),
+    "space file with an unknown field": (EXIT_VALIDATION, lambda tmp, data: _search(
+        _space_file(tmp, colour="blue"))),
+    "space param_budget NaN": (EXIT_VALIDATION, lambda tmp, data: _search(
+        _space_file(tmp, param_budget=math.nan))),
+    "space threshold_init NaN": (EXIT_VALIDATION, lambda tmp, data: _search(
+        _space_file(tmp, threshold_init=math.nan))),
+    "search --k 0": (EXIT_VALIDATION, lambda tmp, data: _search(
+        _space_file(tmp), "--k", "0")),
+    "search --n 0 --k 0": (EXIT_VALIDATION, lambda tmp, data: _search(
+        _space_file(tmp), "--n", "0", "--k", "0")),
+    "search --n 3 --k -1": (EXIT_VALIDATION, lambda tmp, data: _search(
+        _space_file(tmp), "--n", "3", "--k", "-1")),
+    "synth --n -1": (EXIT_USAGE, lambda tmp, data: _synth("--n", "-1")),
+    "synth --n-test -1": (EXIT_USAGE, lambda tmp, data: _synth("--n-test", "-1")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_INPUTS))
 def test_broken_input_exits_with_message(case, tmp_path, tiny_data, capsys):
-    (tmp_path / "space.json").write_text(json.dumps(
-        {"input_shape": [6], "out_units": 3, "T": 6, "colour": "blue"}))
-    command, *paths = BROKEN_INPUTS[case](tmp_path, tiny_data)
-    if command == "train":
-        argv = ["train", "--spec", str(paths[0]), "--data", str(paths[1]), "--epochs", "1"]
-    else:
-        argv = ["search", "--space", str(paths[0]), "--n", "2", "--k", "1"]
+    code, argv = BROKEN_INPUTS[case]
     # an unhandled exception would propagate out of main and fail the test
-    code = main(argv + ["--out", str(tmp_path / "out")])
-    assert code in (EXIT_USAGE, EXIT_VALIDATION), case
-    assert "error" in capsys.readouterr().err
+    assert main(argv(tmp_path, tiny_data) + ["--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err.strip()
+    assert "error" in err and "\n" not in err, err
 
 
 def test_out_of_range_label_in_evaluation_exits_2(tmp_path, tiny_data):
@@ -322,25 +411,18 @@ def npy_bytes(array: np.ndarray) -> bytes:
 
 
 class TestCheckpointInput:
-    def _tampered(self, tmp_path, spec, edit):
-        """A checkpoint of ``spec``'s network with its arrays passed through ``edit``."""
-        ckpt = tmp_path / "net.npz"
-        save_checkpoint(ckpt, Network.build(spec, seed=0))
-        with np.load(ckpt) as blob:
-            arrays = {k: blob[k] for k in blob.files}
-        edit(arrays)
-        np.savez_compressed(ckpt, **arrays)
-        return ckpt
-
     @pytest.mark.parametrize("edit", [
         lambda a: a.pop("p::L1.w"),
         lambda a: a.update({"p::L1.b": np.zeros(1)}),
         lambda a: a.pop("s::L1.bntt_mean"),
         lambda a: a.update({"s::L1.bntt_var": np.ones((1, 8))}),
+        _poison("p::L1.w", np.inf),
+        _poison("s::L1.bntt_var", np.nan),
+        lambda a: a.update({"p::L1.w": np.full((4, 8), "x")}),
     ], ids=["missing weight", "bias of shape (1,)", "missing statistic",
-            "statistic of one step"])
+            "statistic of one step", "infinite weight", "NaN statistic", "string weight"])
     def test_energy_rejects_bad_arrays(self, tmp_path, tiny_data, edit):
-        ckpt = self._tampered(tmp_path, mlp_spec([4, 8, 3], T=6, bntt=True), edit)
+        ckpt = _checkpoint(tmp_path, mlp_spec([4, 8, 3], T=6, bntt=True), edit)
         code = main(["energy", "--checkpoint", str(ckpt), "--data", str(tiny_data / "test"),
                      "--out", str(tmp_path / "e")])
         assert code == EXIT_VALIDATION
@@ -364,7 +446,7 @@ class TestCheckpointInput:
 
     def test_selection_mismatch_rejected(self, tmp_path):
         spec = mlp_spec([4, 8, 6, 3], T=6, tskips=[TSkip(0, 2, 1)])
-        ckpt = self._tampered(tmp_path, spec,
+        ckpt = _checkpoint(tmp_path, spec,
                               lambda a: a.update({"sel::0": (a["sel::0"] + 1) % 4}))
         with pytest.raises(TrainError, match="selection"):
             load_checkpoint(ckpt)

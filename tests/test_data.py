@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempospike.data import (
+    AudioSpikeStream,
     BinningConfig,
     DataError,
     bin_events,
@@ -100,6 +101,26 @@ class TestBinning:
         s = parse_audio_events("0,5000", num_units=10)
         with pytest.raises(DataError, match="cover"):
             bin_events(s, BinningConfig(T=4, window=1000))
+
+    @pytest.mark.parametrize("window", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_window_must_be_finite_and_positive(self, window):
+        with pytest.raises(DataError, match="window"):
+            BinningConfig(T=4, window=window)
+
+    def test_event_on_a_bin_boundary_opens_that_bin(self):
+        # 3 us is exactly 59 bins of 6/118 us; t / (window / T) gave 58
+        out = bin_events(parse_audio_events("0,3", num_units=1),
+                         BinningConfig(T=118, window=6))
+        assert np.flatnonzero(out[:, 0]).tolist() == [59]
+
+    @given(window=st.integers(1, 10**6), T=st.integers(1, 500), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_event_bin_is_scaled_floor(self, window, T, data):
+        ts = sorted(data.draw(st.lists(st.integers(0, window), min_size=1, max_size=20)))
+        stream = AudioSpikeStream(np.arange(len(ts)), np.asarray(ts, dtype=np.int64), len(ts))
+        out = bin_events(stream, BinningConfig(T=T, window=float(window)))
+        bins = [np.flatnonzero(out[:, i]).tolist() for i in range(len(ts))]
+        assert bins == [[min(t * T // window, T - 1)] for t in ts]
 
     def test_values_are_binary(self):
         s = parse_audio_events("\n".join(f"{i % 5},{i * 3}" for i in range(50)), num_units=5)

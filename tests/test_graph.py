@@ -83,6 +83,19 @@ class TestValidate:
             Network.build(spec)
         assert validate(mlp_spec([4, 6, 6, 3], T=4, tskips=edges[::-1])) == []
 
+    @pytest.mark.parametrize("fields, field", [
+        ({"leak_init": float("nan")}, "leak_init"),
+        ({"leak_init": 0.9995}, "leak_init"),
+        ({"threshold_init": float("nan")}, "threshold_init"),
+        ({"threshold_init": float("inf")}, "threshold_init"),
+        ({"threshold_init": 0.005}, "threshold_init"),
+        ({"tskips": [TSkip(0, 2, 1, alpha=True, alpha_init=float("nan"))]}, "alpha_init"),
+        ({"tskips": [TSkip(0, 2, 1, alpha=True, alpha_init=float("-inf"))]}, "alpha_init"),
+    ], ids=["leak NaN", "leak above the clamp", "threshold NaN", "threshold infinite",
+            "threshold below the clamp", "alpha NaN", "alpha -inf"])
+    def test_initial_value_out_of_range_rejected(self, fields, field):
+        assert any(field in v for v in validate(mlp_spec([4, 6, 6, 3], T=4, **fields)))
+
     def test_never_raises_on_garbage(self):
         spec = ArchSpec(input_shape=(0,), layers=(LayerSpec("dense", 0, activation="nope"),),
                         T=0)
@@ -337,6 +350,14 @@ class TestRunForward:
         net = Network.build(spec, seed=0)
         with pytest.raises(GraphError, match="time dim"):
             run_forward(net, np.zeros((4, 2, 6)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        net = Network.build(mlp_spec([6, 4], T=5), seed=0)
+        x = np.zeros((5, 2, 6))
+        x[3, 1, 2] = bad
+        with pytest.raises(GraphError, match="non-finite"):
+            run_forward(net, x)
 
     def test_spike_stats_accumulate(self):
         spec = mlp_spec([6, 8, 8, 4], T=5)

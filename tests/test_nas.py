@@ -66,6 +66,15 @@ class TestSample:
         with pytest.raises(SearchError):
             tiny_space(delta_t_range=(1, 6))  # T=6 allows at most 5
 
+    @pytest.mark.parametrize("field, value", [
+        ("param_budget", math.nan), ("param_budget", math.inf), ("param_budget", 0),
+        ("leak_init", math.nan), ("leak_init", 1.5),
+        ("threshold_init", math.nan), ("threshold_init", 0.005),
+    ])
+    def test_space_fields_checked(self, field, value):
+        with pytest.raises(SearchError, match=field):
+            tiny_space(**{field: value})
+
 
 class TestPresets:
     @pytest.mark.parametrize("name,dt,budget", [
@@ -165,6 +174,12 @@ class TestRandomSearch:
         space = tiny_space()
         with pytest.raises(SearchError):
             random_search(space, 2, probe_batch(space), 5)
+
+    @pytest.mark.parametrize("n, k", [(3, 0), (0, 0), (3, -1)])
+    def test_k_below_one_rejected(self, n, k):
+        space = tiny_space()
+        with pytest.raises(SearchError, match="1 <= k"):
+            random_search(space, n, probe_batch(space), k)
 
     def test_planted_candidate_recovered(self):
         # a wide, easily spiking architecture planted among narrow, mostly

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempospike.engine import SurrogateConfig, Tensor
-from tempospike.neuron import LifParams, LifState, clamp_params, lif_step
+from tempospike.neuron import (LEAK_MAX, LEAK_MIN, THRESHOLD_MIN, LifParams, LifState,
+                               clamp_params, lif_step)
 
 SURR = SurrogateConfig(2.0)
 
@@ -149,9 +150,14 @@ class TestClamp:
         assert p.threshold.data.item() == 15.0
 
     def test_create_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            LifParams.create(leak=1.5)
-        with pytest.raises(ValueError):
-            LifParams.create(threshold=0.0)
+        # the ranges training clamps to, so a stated value survives the first step
+        for bad in (1.5, 0.9995, 5e-4, float("nan")):
+            with pytest.raises(ValueError):
+                LifParams.create(leak=bad)
+        for bad in (0.0, 0.005, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                LifParams.create(threshold=bad)
+        LifParams.create(leak=LEAK_MAX, threshold=THRESHOLD_MIN)
+        LifParams.create(leak=LEAK_MIN)
         with pytest.raises(ValueError):
             LifParams.create(reset_mode="other")

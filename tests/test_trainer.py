@@ -190,14 +190,36 @@ class TestTrainLoop:
         assert "L1.bntt_g0" in net.params
         assert net.spec.bntt
 
-    def test_divergence_aborts_with_diagnostic(self):
-        # an absurd step size overflows the squared error on the next pass
+    @pytest.mark.parametrize("kind", ["mse", "cross_entropy"])
+    def test_divergence_aborts_with_diagnostic(self, kind):
+        # an absurd step size overflows the squared error on the next pass;
+        # cross-entropy stays finite, but its gradients do not
         ds = separable_dataset(n=16)
         spec = mlp_spec([4, 8, 4], T=3)
-        cfg = TrainConfig(epochs=3, batch_size=16, lr_init=1e160, loss="mse", seed=0,
+        cfg = TrainConfig(epochs=3, batch_size=16, lr_init=1e160, loss=kind, seed=0,
                           bntt=False, grad_clip=0.0)
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="diverged"):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match=r"^training diverged at epoch \d+, "
+                                                     r"iteration \d+: (loss|non-finite)"):
             train(spec, ds, cfg)
+
+    def test_non_finite_validation_loss_aborts(self):
+        # one update at an absurd step size; the squared error of the
+        # validation pass overflows before any further training step
+        ds = separable_dataset(n=16)
+        cfg = TrainConfig(epochs=1, batch_size=16, lr_init=1e160, loss="mse", seed=0,
+                          bntt=False, grad_clip=0.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match="validation loss"):
+            train(mlp_spec([4, 8, 4], T=3), ds, cfg, val_ds=ds)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("batch_size", 0), ("step_every", 0), ("lr_init", 0.0),
+        ("lr_init", math.nan), ("lr_init", math.inf), ("dropout", 1.5),
+    ])
+    def test_config_ranges_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
     def test_progress_callback_stops_early(self):
         ds = separable_dataset(n=16)
