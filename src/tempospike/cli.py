@@ -115,6 +115,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.probe_batch < 2:
+        raise UsageError(f"--probe-batch must be at least 2, got {args.probe_batch}")
     out = Path(args.out)
     if args.space:
         try:

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .graph import typed
+
 SpikeTensor = np.ndarray  # [time, ...feature dims], values in {0, 1}
 
 
@@ -68,73 +70,77 @@ class BinningConfig:
             raise DataError(f"window must be finite and positive, got {self.window}")
 
 
-def _iter_rows(text: str, n_fields: int, what: str):
+def _row_error(line: str, width: int, what: str) -> str | None:
+    """Why ``line`` is not ``width`` int64 fields, or None if it is."""
+    parts = line.split(",")
+    if len(parts) != width:
+        return f"expected {width} {what} fields, got {len(parts)}"
+    try:
+        np.array([int(p) for p in parts], dtype=np.int64)
+    except ValueError:
+        return f"non-integer field in {line!r}"
+    except OverflowError:
+        return f"field beyond int64 in {line!r}"
+
+
+def _read_table(text: str, fields: tuple[str, ...], what: str, checks) -> tuple[np.ndarray, ...]:
+    """The int64 columns of ``text``'s CSV lines, each field read by ``int()``.
+    Blank lines are skipped, and so is a first line whose first field is not
+    digits after any leading minus (a header). ``checks`` are ``(test, message)``
+    pairs, ``test`` mapping the columns by field name to a mask of bad rows; the
+    first bad line, and on it the first failed check, raises ``DataError``."""
     lines = text.splitlines()
-    start = 0
-    if lines and not lines[0].split(",")[0].strip().lstrip("-").isdigit():
-        start = 1  # optional header
-    for lineno in range(start, len(lines)):
-        line = lines[lineno].strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != n_fields:
-            raise DataError(f"line {lineno + 1}: expected {n_fields} {what} fields, "
-                            f"got {len(parts)}")
-        try:
-            yield lineno + 1, [int(p) for p in parts]
-        except ValueError:
-            raise DataError(f"line {lineno + 1}: non-integer field in {line!r}") from None
+    start = 1 if lines and not lines[0].split(",")[0].strip().lstrip("-").isdigit() else 0
+    rows = [(n, line) for n, line in enumerate(map(str.strip, lines[start:]), start + 1) if line]
+    width = len(fields)
+    try:
+        if any(line.count(",") != width - 1 for _, line in rows):
+            raise ValueError
+        values = (field for _, line in rows for field in line.split(","))
+        table = np.fromiter(map(int, values), np.int64, len(rows) * width).reshape(-1, width)
+    except (ValueError, OverflowError):
+        lineno, error = next((n, error) for n, line in rows
+                             if (error := _row_error(line, width, what)))
+        # the well-formed lines before it may fail a check first
+        _read_table("\n".join(lines[:lineno - 1]), fields, what, checks)
+        raise DataError(f"line {lineno}: {error}") from None
+    columns = dict(zip(fields, table.T))
+    bad = np.array([test(columns) for test, _ in checks])
+    if bad.any():
+        row, check = divmod(int(bad.T.argmax()), len(checks))
+        raise DataError(f"line {rows[row][0]}: "
+                        + checks[check][1].format(**dict(zip(fields, table[row]))))
+    return tuple(table.T)
+
+
+# a decrease is first seen where t drops below the running maximum
+_TIME_CHECKS = ((lambda c: c["t"] < 0, "negative timestamp {t}"),
+                (lambda c: c["t"] < np.maximum.accumulate(c["t"]),
+                 "timestamps must be non-decreasing"))
 
 
 def parse_events(text: str | bytes, sensor_size: tuple[int, int] | None = None) -> EventStream:
     """Parse visual AER CSV rows ``x,y,t_us,p``; header line optional."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    xs, ys, ts, ps = [], [], [], []
-    prev_t = None
-    for lineno, (x, y, t, p) in _iter_rows(text, 4, "event"):
-        if p not in (0, 1):
-            raise DataError(f"line {lineno}: polarity must be 0 or 1, got {p}")
-        if t < 0:
-            raise DataError(f"line {lineno}: negative timestamp {t}")
-        if prev_t is not None and t < prev_t:
-            raise DataError(f"line {lineno}: timestamps must be non-decreasing")
-        if x < 0 or y < 0:
-            raise DataError(f"line {lineno}: negative coordinate")
-        prev_t = t
-        xs.append(x)
-        ys.append(y)
-        ts.append(t)
-        ps.append(p)
-    xs, ys = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
-    ts, ps = np.asarray(ts, dtype=np.int64), np.asarray(ps, dtype=np.int64)
+    xs, ys, ts, ps = _read_table(text, ("x", "y", "t", "p"), "event", (
+        (lambda c: (c["p"] != 0) & (c["p"] != 1), "polarity must be 0 or 1, got {p}"),
+        *_TIME_CHECKS,
+        (lambda c: (c["x"] < 0) | (c["y"] < 0), "negative coordinate"),
+    ))
     if sensor_size is None:
-        w = int(xs.max()) + 1 if len(xs) else 1
-        h = int(ys.max()) + 1 if len(ys) else 1
-        sensor_size = (w, h)
-    else:
-        if len(xs) and (xs.max() >= sensor_size[0] or ys.max() >= sensor_size[1]):
-            raise DataError(f"event coordinates exceed sensor size {sensor_size}")
+        sensor_size = (int(xs.max()) + 1, int(ys.max()) + 1) if len(xs) else (1, 1)
+    elif len(xs) and (xs.max() >= sensor_size[0] or ys.max() >= sensor_size[1]):
+        raise DataError(f"event coordinates exceed sensor size {sensor_size}")
     return EventStream(xs, ys, ts, ps, sensor_size)
 
 
 def parse_audio_events(text: str, num_units: int | None = None) -> AudioSpikeStream:
     """Parse audio spike CSV rows ``x,t_us``."""
-    units, ts = [], []
-    prev_t = None
-    for lineno, (x, t) in _iter_rows(text, 2, "spike"):
-        if x < 0:
-            raise DataError(f"line {lineno}: negative unit index")
-        if t < 0:
-            raise DataError(f"line {lineno}: negative timestamp {t}")
-        if prev_t is not None and t < prev_t:
-            raise DataError(f"line {lineno}: timestamps must be non-decreasing")
-        prev_t = t
-        units.append(x)
-        ts.append(t)
-    units = np.asarray(units, dtype=np.int64)
-    ts = np.asarray(ts, dtype=np.int64)
+    units, ts = _read_table(text, ("x", "t"), "spike", (
+        (lambda c: c["x"] < 0, "negative unit index"),
+        *_TIME_CHECKS,
+    ))
     if num_units is None:
         num_units = int(units.max()) + 1 if len(units) else 1
     elif len(units) and units.max() >= num_units:
@@ -143,10 +149,14 @@ def parse_audio_events(text: str, num_units: int | None = None) -> AudioSpikeStr
 
 
 def _time_bins(ts: np.ndarray, window: float, T: int) -> np.ndarray:
-    if len(ts) and ts.max() > window:
-        raise DataError(f"window {window} does not cover stream (max t = {ts.max()})")
-    # t*T is an exact integer, so an event on a bin boundary is not rounded
-    # into the bin before it, as t / (window/T) can be
+    t_max = int(ts.max()) if len(ts) else 0
+    if t_max > window:
+        raise DataError(f"window {window} does not cover stream (max t = {t_max})")
+    # t*T is an exact integer, in int64 and float64 alike below 2**53, so an
+    # event on a bin boundary is not rounded into the bin before it, as
+    # t / (window/T) can be
+    if t_max * T > 2**53:
+        raise DataError(f"timestamps up to {t_max} are too large to bin into {T} steps")
     bins = np.floor(ts * T / window).astype(np.int64)
     return np.minimum(bins, T - 1)
 
@@ -158,17 +168,12 @@ def bin_events(stream: EventStream | AudioSpikeStream, cfg: BinningConfig) -> Sp
         window = float(stream.ts.max()) + 1.0 if len(stream) else 1.0
     if isinstance(stream, EventStream):
         w, h = stream.sensor_size
-        channels = 2 if cfg.polarity_channels else 1
-        out = np.zeros((cfg.T, channels, h, w))
-        if len(stream):
-            b = _time_bins(stream.ts, window, cfg.T)
-            c = stream.ps if cfg.polarity_channels else np.zeros(len(stream), dtype=np.int64)
-            np.add.at(out, (b, c, stream.ys, stream.xs), 1.0)
+        shape = (cfg.T, 2 if cfg.polarity_channels else 1, h, w)
+        cells = (stream.ps if cfg.polarity_channels else 0, stream.ys, stream.xs)
     else:
-        out = np.zeros((cfg.T, stream.num_units))
-        if len(stream):
-            b = _time_bins(stream.ts, window, cfg.T)
-            np.add.at(out, (b, stream.units), 1.0)
+        shape, cells = (cfg.T, stream.num_units), (stream.units,)
+    out = np.zeros(shape)
+    np.add.at(out, (_time_bins(stream.ts, window, cfg.T), *cells), 1.0)
     if not cfg.counts:
         out = (out > 0).astype(np.float64)
     return out
@@ -274,16 +279,16 @@ def load_dataset(manifest_path) -> Dataset:
         manifest = json.loads(path.read_text(encoding="utf-8"))
         if manifest.get("format") != "audio-csv":
             raise DataError(f"unsupported dataset format {manifest.get('format')!r}")
-        T = int(manifest["T"])
-        units = int(manifest["num_units"])
-        window = float(manifest.get("window_us", T))
+        T = typed(manifest["T"], int, "T")
+        units = typed(manifest["num_units"], int, "num_units")
+        window = typed(manifest.get("window_us", T), float, "window_us")
         cfg = BinningConfig(T=T, window=window)
         inputs, labels = [], []
         for entry in manifest["samples"]:
             text = (path.parent / entry["file"]).read_text(encoding="utf-8")
             stream = parse_audio_events(text, num_units=units)
             inputs.append(bin_events(stream, cfg))
-            labels.append(int(entry["label"]))
+            labels.append(typed(entry["label"], int, "label"))
     except (OSError, AttributeError, KeyError, TypeError, ValueError) as err:
         raise DataError(f"cannot load dataset {path}: {err!r}") from None
     return Dataset(inputs=np.stack(inputs) if inputs else np.zeros((0, T, units)),

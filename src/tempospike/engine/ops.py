@@ -115,8 +115,15 @@ def select_channels(x: Tensor, indices, axis: int = 1) -> Tensor:
     def back(g):
         gx = np.zeros_like(x.data)
         key = [slice(None)] * x.ndim
-        key[axis] = idx
-        np.add.at(gx, tuple(key), g)
+        rest = np.arange(idx.size)
+        while rest.size:
+            # one round adds the first remaining pick of every channel, so its
+            # channels are distinct and each channel sums its picks in order,
+            # as np.add.at would
+            picks = rest[np.unique(idx[rest], return_index=True)[1]]
+            key[axis] = idx[picks]
+            gx[tuple(key)] += np.take(g, picks, axis=axis)
+            rest = np.setdiff1d(rest, picks, assume_unique=True)
         return (gx,)
 
     return record((x,), np.take(x.data, idx, axis=axis), back)

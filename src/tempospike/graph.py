@@ -717,13 +717,13 @@ _JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                bool: ((bool,), "true or false")}
 
 
-def _typed(value, kind: type, field: str):
-    """``value`` if JSON gave it type ``kind``, else ``GraphError``. A bool is
+def typed(value, kind: type, field: str):
+    """``value`` if JSON gave it type ``kind``, else ``TypeError``. A bool is
     neither an int nor a number, and an int counts as a number; nothing is
-    coerced, so a mistyped spec cannot load as a different network."""
+    coerced, so a mistyped file cannot load as a different network or dataset."""
     types, name = _JSON_KINDS[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
-        raise GraphError(f"malformed spec: {field} must be {name}, got {value!r}")
+        raise TypeError(f"{field} must be {name}, got {value!r}")
     return float(value) if kind is float else value
 
 
@@ -736,9 +736,9 @@ def _layer_from_entry(entry) -> LayerSpec:
         return parse_layer_token(entry)
     if isinstance(entry, dict):
         kernel, stride = entry.get("kernel"), entry.get("stride")
-        return LayerSpec(kind=entry["kind"], out=_typed(entry["out"], int, "layer out"),
-                         kernel=None if kernel is None else _typed(kernel, int, "layer kernel"),
-                         stride=None if stride is None else _typed(stride, int, "layer stride"),
+        return LayerSpec(kind=entry["kind"], out=typed(entry["out"], int, "layer out"),
+                         kernel=None if kernel is None else typed(kernel, int, "layer kernel"),
+                         stride=None if stride is None else typed(stride, int, "layer stride"),
                          activation=entry.get("activation", "lif"))
     raise GraphError(f"cannot interpret layer entry {entry!r}")
 
@@ -749,23 +749,23 @@ def spec_from_dict(d: dict) -> ArchSpec:
     try:
         layers = tuple(_layer_from_entry(e) for e in d["layers"])
         tskips = tuple(
-            TSkip(origin=_typed(e["origin"], int, "edge origin"),
-                  dest=_typed(e["dest"], int, "edge dest"),
-                  delta_t=_typed(e["delta_t"], int, "edge delta_t"),
+            TSkip(origin=typed(e["origin"], int, "edge origin"),
+                  dest=typed(e["dest"], int, "edge dest"),
+                  delta_t=typed(e["delta_t"], int, "edge delta_t"),
                   merge=e.get("merge", "concat"),
-                  alpha=_typed(e.get("alpha", False), bool, "edge alpha"),
-                  alpha_init=_typed(e.get("alpha_init", 0.0), float, "edge alpha_init"))
+                  alpha=typed(e.get("alpha", False), bool, "edge alpha"),
+                  alpha_init=typed(e.get("alpha_init", 0.0), float, "edge alpha_init"))
             for e in d.get("tskips", ())
         )
         return ArchSpec(
-            input_shape=tuple(_typed(v, int, "input size") for v in d["input"]),
+            input_shape=tuple(typed(v, int, "input size") for v in d["input"]),
             layers=layers,
             tskips=tskips,
-            T=_typed(d["T"], int, "T"),
-            bntt=_typed(d.get("bntt", False), bool, "bntt"),
+            T=typed(d["T"], int, "T"),
+            bntt=typed(d.get("bntt", False), bool, "bntt"),
             reset=d.get("reset", "soft"),
-            leak_init=_typed(d.get("leak_init", 0.6), float, "leak_init"),
-            threshold_init=_typed(d.get("threshold_init", 1.0), float, "threshold_init"),
+            leak_init=typed(d.get("leak_init", 0.6), float, "leak_init"),
+            threshold_init=typed(d.get("threshold_init", 1.0), float, "threshold_init"),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise GraphError(f"malformed spec: {err!r}") from None

@@ -100,8 +100,8 @@ class AdamState:
 def adam_step(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
               state: AdamState, lr: float) -> AdamState:
     """Standard Adam update with bias correction; parameters without a
-    gradient on this step are left untouched, and a non-finite gradient
-    raises ``DivergenceError``."""
+    gradient on this step are left untouched, and a non-finite gradient, or
+    one whose update overflows, raises ``DivergenceError``."""
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
@@ -118,11 +118,15 @@ def adam_step(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
         v = state.v.get(name)
         if v is None:
             v = state.v[name] = np.zeros_like(p.data)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                m *= state.beta1
+                m += (1.0 - state.beta1) * g
+                v *= state.beta2
+                v += (1.0 - state.beta2) * g * g
+                p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        except FloatingPointError as err:
+            raise DivergenceError(f"non-finite update for parameter {name!r}: {err}") from None
     return state
 
 

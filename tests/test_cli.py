@@ -248,6 +248,12 @@ def _set_first_label(label):
     return lambda m: m["samples"][0].update(label=label)
 
 
+def _first_sample(data_dir, text):
+    """``data_dir`` with its first sample's events replaced by ``text``."""
+    (data_dir / "edited.csv").write_text(text)
+    return _edit_manifest(data_dir, lambda m: m["samples"][0].update(file="edited.csv"))
+
+
 def _spec_file(tmp_path, **fields):
     path = tmp_path / "edited_spec.json"
     path.write_text(json.dumps({**spec_to_dict(mlp_spec([4, 8, 3], T=6)), **fields}))
@@ -338,6 +344,21 @@ BROKEN_INPUTS = {
         _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(window_us=math.nan)))),
     "manifest window_us infinite": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(window_us=math.inf)))),
+    "manifest T a float": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(T=6.0)))),
+    "manifest num_units a float": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(num_units=4.0)))),
+    "manifest window_us a string": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(window_us="6")))),
+    "manifest naming an absent sample": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train",
+                                        lambda m: m["samples"][0].update(file="absent.csv")))),
+    "sample timestamp beyond int64": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _first_sample(data / "train", "0,1\n1,9223372036854775808\n"))),
+    "label a fraction": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", _set_first_label(1.7)))),
+    "label a boolean": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", _set_first_label(True)))),
     "label above the readout width": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp), _edit_manifest(data / "train", _set_first_label(12)))),
     "negative label": (EXIT_VALIDATION, lambda tmp, data: _train(
@@ -368,6 +389,10 @@ BROKEN_INPUTS = {
         _space_file(tmp, param_budget=math.nan))),
     "space threshold_init NaN": (EXIT_VALIDATION, lambda tmp, data: _search(
         _space_file(tmp, threshold_init=math.nan))),
+    "search --probe-batch -1": (EXIT_USAGE, lambda tmp, data: _search(
+        _space_file(tmp), "--probe-batch", "-1")),
+    "search --probe-batch 1": (EXIT_USAGE, lambda tmp, data: _search(
+        _space_file(tmp), "--probe-batch", "1")),
     "search --k 0": (EXIT_VALIDATION, lambda tmp, data: _search(
         _space_file(tmp), "--k", "0")),
     "search --n 0 --k 0": (EXIT_VALIDATION, lambda tmp, data: _search(

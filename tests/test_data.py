@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import row_parser_oracle as oracle
+
 from tempospike.data import (
     AudioSpikeStream,
     BinningConfig,
@@ -15,6 +17,58 @@ from tempospike.data import (
     parse_events,
     save_dataset,
 )
+
+
+# fields the per-row parser reads as integers, or rejects, in its own ways
+ODD_FIELDS = ["", " ", "a", "1.5", "0x1", "+5", "1_000", "\u0663", "\uff15", "\u00b2", "-0",
+              " 7 ", "\t3", "\u20039", "-", "1,", "5\x0c", str(2**63 - 1), str(-2**63)]
+ODD_VALUES = [-1, -7, 0, 2, 3, 10**19, -10**19, 2**63, -2**63 - 1]
+BEYOND_INT64 = {str(v) for v in ODD_VALUES if not -2**63 <= v < 2**63}
+
+
+@st.composite
+def event_csv(draw):
+    """A visual (4 fields) or audio (2 fields) CSV, valid or corrupted, and
+    whether a data line holds an integer beyond int64."""
+    width = draw(st.sampled_from([2, 4]))
+    ts = sorted(draw(st.lists(st.integers(0, 60), max_size=10)))
+    rows = [[str(v) for v in ([draw(st.integers(0, 5)), draw(st.integers(0, 5)), t,
+                                draw(st.integers(0, 1))] if width == 4
+                               else [draw(st.integers(0, 9)), t])] for t in ts]
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(["count", "field", "value"]))
+        if kind == "count":
+            row[:] = row[:-1] if len(row) > 1 and draw(st.booleans()) else row + ["1"]
+            continue
+        j = draw(st.integers(0, len(row) - 1))
+        if kind == "field":
+            row[j] = draw(st.sampled_from(ODD_FIELDS))
+        else:
+            row[j] = str(draw(st.sampled_from(ODD_VALUES)))
+    lines = [draw(st.sampled_from([",", " , ", ", "])).join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    header = draw(st.sampled_from([None, "x,y,t,p", "x,t", "-", "+1,2", " t ", "-x,1", ""]))
+    if header is not None:
+        lines.insert(0, header)
+    sep = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = sep.join(lines) + (sep if draw(st.booleans()) else "")
+    size = draw(st.none() | (st.tuples(st.integers(1, 7), st.integers(1, 7)) if width == 4
+                             else st.integers(1, 12)))
+    return width, text, size, any(f in BEYOND_INT64 for row in rows for f in row)
+
+
+def _outcome(parse, text, size):
+    try:
+        stream = parse(text, size)
+    except DataError as err:
+        return "error", str(err)
+    arrays = [getattr(stream, name) for name in ("xs", "ys", "ts", "ps", "units")
+              if hasattr(stream, name)]
+    assert all(a.dtype == np.int64 for a in arrays)
+    size = stream.sensor_size if hasattr(stream, "sensor_size") else stream.num_units
+    return "ok", [a.tolist() for a in arrays], size
 
 
 class TestParse:
@@ -57,6 +111,32 @@ class TestParse:
             parse_events(f"0,0,{t},1")
         with pytest.raises(DataError, match="line 1: negative timestamp"):
             parse_audio_events(f"0,{t}")
+
+    @given(event_csv())
+    @settings(max_examples=1500, deadline=None)
+    def test_table_reader_matches_row_parser(self, case):
+        width, text, size, beyond_int64 = case
+        parse, reference = ((parse_events, oracle.parse_events) if width == 4
+                            else (parse_audio_events, oracle.parse_audio_events))
+        try:
+            expected = _outcome(reference, text, size)
+        except OverflowError:
+            expected = None
+        actual = _outcome(parse, text, size)
+        if actual != expected:
+            # the row parser let a value beyond int64 through its checks and
+            # then failed converting it; the table reader names its line
+            assert beyond_int64 and actual[0] == "error" and "beyond int64" in actual[1]
+
+    @pytest.mark.parametrize("text", ["0,9223372036854775808", "0,1\n-9223372036854775809,2"])
+    def test_field_beyond_int64_names_its_line(self, text):
+        lineno = text.count("\n") + 1
+        with pytest.raises(DataError, match=f"^line {lineno}: field beyond int64"):
+            parse_audio_events(text)
+
+    def test_check_on_an_earlier_line_comes_first(self):
+        with pytest.raises(DataError, match="^line 2: polarity"):
+            parse_events("x,y,t,p\n0,0,1,3\n0,0,2\n")
 
 
 class TestBinning:
@@ -121,6 +201,12 @@ class TestBinning:
         out = bin_events(stream, BinningConfig(T=T, window=float(window)))
         bins = [np.flatnonzero(out[:, i]).tolist() for i in range(len(ts))]
         assert bins == [[min(t * T // window, T - 1)] for t in ts]
+
+    def test_timestamps_too_large_to_bin_exactly_rejected(self):
+        # t*T overflowed int64 and put the second event in bin 13, not 98
+        s = parse_audio_events("1,50000000000000000\n0,100000000000000000")
+        with pytest.raises(DataError, match="too large"):
+            bin_events(s, BinningConfig(T=99, window=1e17))
 
     def test_values_are_binary(self):
         s = parse_audio_events("\n".join(f"{i % 5},{i * 3}" for i in range(50)), num_units=5)

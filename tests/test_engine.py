@@ -255,6 +255,19 @@ class TestSelectChannels:
         g = tape.backward(loss)[x]
         assert g.tolist() == [[2.0, 1.0]]
 
+    def test_gradient_sums_repeats_in_selection_order(self):
+        # the same additions in the same order as np.add.at, so the gradient
+        # is bit-identical to it however often a channel is picked
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
+        picks = [2, 0, 2, 2, 1, 2, 0, 2]
+        w = rng.standard_normal((3, 8, 2)) * 10.0 ** rng.integers(-8, 8, (3, 8, 2))
+        with Tape() as tape:
+            loss = (select_channels(x, picks, axis=1) * Tensor(w)).sum()
+        expected = np.zeros_like(x.data)
+        np.add.at(expected, (slice(None), picks), w)
+        assert np.array_equal(tape.backward(loss)[x], expected)
+
 
 class TestBntt:
     def test_zero_variance_gives_beta(self):
