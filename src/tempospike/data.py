@@ -83,14 +83,22 @@ def _row_error(line: str, width: int, what: str) -> str | None:
         return f"field beyond int64 in {line!r}"
 
 
+def _is_int(field: str) -> bool:
+    try:
+        int(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_table(text: str, fields: tuple[str, ...], what: str, checks) -> tuple[np.ndarray, ...]:
     """The int64 columns of ``text``'s CSV lines, each field read by ``int()``.
-    Blank lines are skipped, and so is a first line whose first field is not
-    digits after any leading minus (a header). ``checks`` are ``(test, message)``
-    pairs, ``test`` mapping the columns by field name to a mask of bad rows; the
-    first bad line, and on it the first failed check, raises ``DataError``."""
+    Blank lines are skipped, and so is a first line whose first field ``int()``
+    rejects (a header). ``checks`` are ``(test, message)`` pairs, ``test``
+    mapping the columns by field name to a mask of bad rows; the first bad
+    line, and on it the first failed check, raises ``DataError``."""
     lines = text.splitlines()
-    start = 1 if lines and not lines[0].split(",")[0].strip().lstrip("-").isdigit() else 0
+    start = 1 if lines and not _is_int(lines[0].split(",")[0]) else 0
     rows = [(n, line) for n, line in enumerate(map(str.strip, lines[start:]), start + 1) if line]
     width = len(fields)
     try:
@@ -271,6 +279,11 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
     return path
 
 
+# The largest dense [samples, T, num_units] float64 tensor a manifest may
+# declare, 8 GiB; a larger one is rejected before any sample is read.
+MAX_DATASET_BYTES = 2**33
+
+
 def load_dataset(manifest_path) -> Dataset:
     path = Path(manifest_path)
     if path.is_dir():
@@ -283,8 +296,13 @@ def load_dataset(manifest_path) -> Dataset:
         units = typed(manifest["num_units"], int, "num_units")
         window = typed(manifest.get("window_us", T), float, "window_us")
         cfg = BinningConfig(T=T, window=window)
+        samples = manifest["samples"]
+        size = len(samples) * T * units * 8
+        if size > MAX_DATASET_BYTES:
+            raise DataError(f"{len(samples)} samples of T={T} x {units} units need {size} "
+                            f"bytes, above the limit of {MAX_DATASET_BYTES}")
         inputs, labels = [], []
-        for entry in manifest["samples"]:
+        for entry in samples:
             text = (path.parent / entry["file"]).read_text(encoding="utf-8")
             stream = parse_audio_events(text, num_units=units)
             inputs.append(bin_events(stream, cfg))

@@ -340,27 +340,34 @@ def lif_update(membrane: Tensor, drive: Tensor, prev_spikes: Tensor,
 
 
 def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_mode: str,
-             cfg: SurrogateConfig, spike_mode: str = "hard") -> Tensor:
-    """LIF dynamics over a whole sequence as one node; returns the spikes.
+             cfg: SurrogateConfig, spike_mode: str = "hard",
+             init: tuple[Array, Array] | None = None) -> tuple[Tensor, tuple[Array, Array]]:
+    """LIF dynamics over consecutive steps as one node; returns the spikes and
+    the final (membrane, spikes) state.
 
     ``drive`` holds ``steps`` consecutive timestep blocks of rows, [steps *
     batch, ...], and the output has the same layout. Each step is
     ``lif_update`` followed by ``normalized_drive`` and ``spike`` with the same
-    rounding, starting from zero membrane and spikes. The backward pass is a
-    reverse scan that carries the membrane and spike gradients one step back
-    and does all elementwise work on one step's slice at a time, so it stays
-    in cache; the leak and threshold gradients are accumulated per step.
+    rounding, starting from ``init``, the state a previous call returned, or
+    from zero membrane and spikes. The backward pass is a reverse scan that
+    carries the membrane and spike gradients one step back and does all
+    elementwise work on one step's slice at a time, so it stays in cache; the
+    leak and threshold gradients are accumulated per step. It does not reach
+    ``init``, so an initial state while a tape records is an error.
     """
     if spike_mode not in ("hard", "soft"):
         raise ValueError(f"unknown spike mode {spike_mode!r}")
+    recording = active_tape() is not None
+    if init is not None and recording:
+        raise EngineError("lif_scan cannot differentiate through an initial state")
     lk = leak.data
     th = threshold.data
     alpha = cfg.alpha_surr
     d = drive.data.reshape(steps, -1)
     # membranes are kept for the backward pass only when a tape records it
-    u_seq = np.empty_like(d) if active_tape() is not None else None
+    u_seq = np.empty_like(d) if recording else None
     o_seq = np.empty_like(d)
-    u = o = np.zeros(d.shape[1])
+    u, o = init if init is not None else (np.zeros(d.shape[1]),) * 2
     for t in range(steps):
         u = _lif_membrane(u, d[t], o, lk, th, reset_mode)
         if u_seq is not None:
@@ -403,7 +410,7 @@ def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_m
         return (gd.reshape(drive.shape), np.asarray(g_leak).reshape(leak.shape),
                 np.asarray(g_th).reshape(threshold.shape))
 
-    return record((drive, leak, threshold), o_seq.reshape(drive.shape), back)
+    return record((drive, leak, threshold), o_seq.reshape(drive.shape), back), (u, o)
 
 
 def li_scan(drive: Tensor, leak: Tensor, init: Tensor) -> Tensor:

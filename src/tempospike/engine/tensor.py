@@ -183,31 +183,38 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
+# The elementwise ops below skip the gradient of an input that does not
+# require one, such as a constant dropout mask: the tape would drop it anyway.
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return record((a, b), a.data + b.data, back)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return record((a, b), a.data - b.data, back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return record((a, b), a.data * b.data, back)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     def back(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / b.data, a.shape) if a.requires_grad else None
+        gb = (_unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+              if b.requires_grad else None)
         return ga, gb
 
     return record((a, b), a.data / b.data, back)

@@ -5,12 +5,15 @@ A network is an ordered stack of layers (index 0 is the network input) plus a
 set of skip edges. Each edge carries its origin, destination, an explicit
 delay in timesteps, a merge operator (channel concatenation or elementwise
 addition), and an optional learnable blend between the origin's current and
-delayed activations. Graphs with forward edges only run layer by layer over
-the whole sequence, where a delayed payload is the origin's sequence shifted
-in time. Graphs with a backward edge unroll step by step and serve delayed
-payloads from per-layer ring buffers. Either way, steps before the start of
-the sequence read zeros, and a buffer read from the future is a hard error,
-which keeps the graph causal by construction.
+delayed activations. A sequence runs in chunks of C steps, layer by layer
+within a chunk. C is T for a graph with forward edges only, where a delayed
+payload is the origin's sequence shifted in time; with a backward edge, C is
+its shortest delay (1 with a blend), so a chunk reads a later layer only at
+steps of earlier chunks, and neuron state carries from chunk to chunk. While
+a tape records, a graph with a backward edge instead unrolls step by step
+and serves delayed payloads from per-layer ring buffers. Either way, steps
+before the start of the sequence read zeros, and a buffer read from the
+future is a hard error, which keeps the graph causal by construction.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 from .engine import (
     SurrogateConfig,
     Tensor,
+    active_tape,
     affine,
     bntt_seq,
     concat,
@@ -464,14 +468,17 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
                 collect: dict[int, np.ndarray | None] | None = None) -> ForwardResult:
     """Run the network over the full sequence.
 
-    ``x`` has shape [T, batch, ...input]. A graph whose edges all point
-    forward runs layer-major: each layer processes the whole sequence at once,
-    and a delayed skip is its origin's sequence shifted by ``delta_t`` steps.
-    A graph with a backward edge unrolls time-major, one step of every layer
-    at a time, because the edge feeds a layer from a later one. Both give the
-    same result up to the rounding of batched matrix products; dropout masks
-    are drawn in a different order. ``collect`` maps layer indices to slots
-    that receive that layer's raw output sequence as a [T, batch, ...] array.
+    ``x`` has shape [T, batch, ...input]. The sequence runs in chunks of C
+    steps, each chunk one layer at a time over all of its steps. C is T for a
+    graph without backward edges, where a delayed skip is its origin's
+    sequence shifted by ``delta_t`` steps, and otherwise the shortest delay
+    of a backward edge, 1 for one with a blend. While a tape records, a graph
+    with a backward edge instead unrolls time-major, one step of every layer
+    at a time, because the state carried from one chunk to the next has no
+    backward pass. All paths give the same result up to the rounding of
+    batched matrix products; dropout draws one mask per layer per chunk, or
+    per step when time-major. ``collect`` maps layer indices to slots that
+    receive that layer's raw output sequence as a [T, batch, ...] array.
     """
     spec = net.spec
     if x.shape[0] != spec.T:
@@ -485,9 +492,19 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
     training = mode == "train"
     if training and dropout > 0.0 and rng is None:
         raise ValueError("training with dropout needs an rng")
-    execute = _run_layer_major if all(e.is_forward for e in spec.tskips) else _run_time_major
+    backward = any(not e.is_forward for e in spec.tskips)
+    execute = _run_time_major if backward and active_tape() is not None else _run_chunked
     return execute(net, x, training, spike_mode, surr or SurrogateConfig(),
                    dropout if training else 0.0, rng, collect)
+
+
+def _chunk_steps(spec: ArchSpec) -> int:
+    """Steps per chunk, from the spec alone: T without a backward edge, else
+    the shortest delay of a backward edge, counting an edge with a blend as 1
+    because its "now" term reads the step before. A chunk then reads a
+    backward edge's origin only at steps of earlier chunks."""
+    return min((1 if e.alpha else e.delta_t for e in spec.tskips if not e.is_forward),
+               default=spec.T)
 
 
 def _spike_stats(net: Network, batch: int) -> SpikeStats:
@@ -545,64 +562,119 @@ def _bntt(net: Network, l: int, drive: Tensor, start: int, stop: int,
                     net.state[f"L{l}.bntt_var"][start:stop], training)
 
 
-def _run_layer_major(net: Network, x: np.ndarray, training: bool, spike_mode: str,
-                     surr: SurrogateConfig, dropout: float, rng: np.random.Generator | None,
-                     collect: dict[int, np.ndarray | None] | None) -> ForwardResult:
-    """Each layer over the whole sequence; only for graphs without backward
-    edges. Sequences are [T * batch, ...] arrays of timestep blocks."""
+def _steps(seq: np.ndarray, lo: int, hi: int, batch: int) -> np.ndarray:
+    """Steps [lo, hi) of a [T * batch, ...] sequence, zeros before step 0."""
+    if lo >= 0:
+        return seq[lo * batch:hi * batch]
+    head = min(-lo, hi - lo)
+    out = np.zeros(((hi - lo) * batch,) + seq.shape[1:])
+    out[head * batch:] = seq[:(hi - lo - head) * batch]
+    return out
+
+
+def _run_chunked(net: Network, x: np.ndarray, training: bool, spike_mode: str,
+                 surr: SurrogateConfig, dropout: float, rng: np.random.Generator | None,
+                 collect: dict[int, np.ndarray | None] | None) -> ForwardResult:
+    """Chunks of ``_chunk_steps`` steps, each layer-major: a layer processes
+    all steps of the chunk at once, as [steps * batch, ...] arrays of timestep
+    blocks. One chunk keeps its sequences as tape tensors. With several, the
+    outputs that skip payloads, ``collect`` and the result read are copied
+    into one [T * batch, ...] array per layer, and each LIF and accumulator
+    layer carries its state into the next chunk; nothing of that is
+    differentiable, so it runs without a tape only."""
     spec = net.spec
     T, batch = x.shape[:2]
+    steps = _chunk_steps(spec)
     stats = _spike_stats(net, batch)
     last_use = {i: i + 1 for i in range(spec.depth)}
     for e in spec.tskips:
-        last_use[e.origin] = max(last_use[e.origin], e.dest)
-    seqs: list[Tensor | None] = [Tensor(x.reshape((T * batch,) + x.shape[2:]))]
-    for l, layer in enumerate(spec.layers, start=1):
-        h = _layer_sequence(net, l, seqs, T, batch, training, spike_mode, surr, dropout, rng)
-        if layer.activation == "lif":
-            stats.add(l, float(h.data.sum()))
-        seqs.append(h)
-        if collect is not None and l in collect:
-            collect[l] = h.data.reshape((T, batch) + net.shapes[l])
-        for i, last in last_use.items():
-            if last == l:
-                seqs[i] = None  # without a tape, this frees the sequence
-    out = seqs[-1]
-    return ForwardResult(outputs=reshape(out, (T, batch) + out.shape[1:]), stats=stats)
+        if e.is_forward:
+            last_use[e.origin] = max(last_use[e.origin], e.dest)
+    history = None
+    if steps < T:
+        kept = {e.origin for e in spec.tskips} | set(collect or ()) | {spec.depth}
+        history = {l: np.empty((T * batch,) + net.shapes[l]) for l in kept - {0}}
+        if 0 in kept:
+            history[0] = x.reshape((T * batch,) + x.shape[2:])
+    carry: dict[int, object] = {}  # per layer, the state at the end of the last chunk
+    for s in range(0, T, steps):
+        e = min(s + steps, T)
+        seqs: list[Tensor | None] = [Tensor(x[s:e].reshape(((e - s) * batch,) + x.shape[2:]))]
+        for l, layer in enumerate(spec.layers, start=1):
+            h = _layer_sequence(net, l, seqs, history, s, e, batch, carry,
+                                training, spike_mode, surr, dropout, rng)
+            if layer.activation == "lif":
+                stats.add(l, float(h.data.sum()))
+            seqs.append(h)
+            if history is not None and l in history:
+                history[l][s * batch:e * batch] = h.data
+            elif collect is not None and l in collect:
+                collect[l] = h.data.reshape((T, batch) + net.shapes[l])
+            for i, last in last_use.items():
+                if last == l:
+                    seqs[i] = None  # without a tape, this frees the sequence
+    if history is None:
+        out = seqs[-1]
+        return ForwardResult(outputs=reshape(out, (T, batch) + out.shape[1:]), stats=stats)
+    for l in collect or ():
+        collect[l] = history[l].reshape((T, batch) + net.shapes[l])
+    out = history[spec.depth]
+    return ForwardResult(outputs=Tensor(out.reshape((T, batch) + out.shape[1:])), stats=stats)
 
 
-def _layer_sequence(net: Network, l: int, seqs: list[Tensor | None], T: int, batch: int,
-                    training: bool, spike_mode: str, surr: SurrogateConfig, dropout: float,
+def _layer_sequence(net: Network, l: int, seqs: list[Tensor | None],
+                    history: dict[int, np.ndarray] | None, s: int, e: int, batch: int,
+                    carry: dict[int, object], training: bool, spike_mode: str,
+                    surr: SurrogateConfig, dropout: float,
                     rng: np.random.Generator | None) -> Tensor:
-    """Layer ``l``'s output sequence from the sequences of earlier layers."""
+    """Layer ``l``'s output over steps [s, e), from the outputs of earlier
+    layers and, through ``carry``, its own state after step s - 1."""
     spec = net.spec
     layer = spec.layers[l - 1]
     # the merged input stays unnamed: without a tape it is freed before the scan
-    drive = _drive(net, l, _sequence_input(net, l, seqs, batch), dropout, rng)
+    drive = _drive(net, l, _sequence_input(net, l, seqs, history, s, e, batch), dropout, rng)
     if spec.bntt and layer.activation == "lif":
-        drive = _bntt(net, l, drive, 0, T, training)
+        drive = _bntt(net, l, drive, s, e, training)
     if layer.activation == "lif":
         p = net.lif_params(l)
-        return lif_scan(drive, p.leak, p.threshold, T, p.reset_mode, surr, spike_mode)
+        h, carry[l] = lif_scan(drive, p.leak, p.threshold, e - s, p.reset_mode, surr,
+                               spike_mode, carry.get(l))
+        return h
     if layer.activation == "li":
-        return li_scan(drive, net.params[f"L{l}.leak"],
-                       Tensor(np.zeros((batch,) + net.shapes[l])))
+        init = carry.get(l, Tensor(np.zeros((batch,) + net.shapes[l])))
+        h = li_scan(drive, net.params[f"L{l}.leak"], init)
+        carry[l] = Tensor(h.data[-batch:])
+        return h
     if layer.activation == "relu":
         return relu(drive)
     return drive
 
 
-def _sequence_input(net: Network, l: int, seqs: list[Tensor | None], batch: int) -> Tensor:
-    """Layer ``l``'s feed-forward input merged with its skip payloads."""
+def _sequence_input(net: Network, l: int, seqs: list[Tensor | None],
+                    history: dict[int, np.ndarray] | None, s: int, e: int,
+                    batch: int) -> Tensor:
+    """Layer ``l``'s feed-forward input over steps [s, e) merged with its skip
+    payloads. A payload is steps [s - delta_t, e - delta_t) of its origin's
+    output, zeros before step 0; a blend's "now" term is steps [s, e), or
+    [s - 1, e - 1) over a backward edge."""
     ff = _flatten_for(net.spec.layers[l - 1], seqs[l - 1])
     merged = ff
     for j, edge in enumerate(net.spec.tskips):
         if edge.dest != l:
             continue
-        # selecting channels first keeps the shifted copy narrow; both only
-        # move values, so the order does not change the result
-        now = _resize(net, j, edge, seqs[edge.origin], ff)
-        payload = delay(now, edge.delta_t * batch) if edge.delta_t else now
+        if history is None:
+            # one chunk: the payload is the origin's sequence shifted, and
+            # selecting channels first keeps the shifted copy narrow; both
+            # only move values, so the order does not change the result
+            now = _resize(net, j, edge, seqs[edge.origin], ff)
+            payload = delay(now, edge.delta_t * batch) if edge.delta_t else now
+        else:
+            origin = history[edge.origin]
+            dt = edge.delta_t
+            payload = _resize(net, j, edge, Tensor(_steps(origin, s - dt, e - dt, batch)), ff)
+            if edge.alpha:
+                lag = 0 if edge.is_forward else 1
+                now = _resize(net, j, edge, Tensor(_steps(origin, s - lag, e - lag, batch)), ff)
         if edge.alpha:
             payload = _blend(net, j, now, payload)
         merged = _merge(edge, merged, payload)

@@ -348,6 +348,10 @@ BROKEN_INPUTS = {
         _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(T=6.0)))),
     "manifest num_units a float": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(num_units=4.0)))),
+    "manifest num_units 10**13": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(num_units=10**13)))),
+    "manifest T 10**13": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(T=10**13)))),
     "manifest window_us a string": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(window_us="6")))),
     "manifest naming an absent sample": (EXIT_VALIDATION, lambda tmp, data: _train(

@@ -83,6 +83,10 @@ class TestParse:
         s = parse_events("x,y,t,p\n1,2,10,0\n")
         assert len(s) == 1
 
+    @pytest.mark.parametrize("text", ["+5,100\n6,200", "1_000,100\n1001,200"])
+    def test_first_line_int_accepts_is_data(self, text):
+        assert len(parse_audio_events(text)) == 2
+
     def test_bad_polarity_names_line(self):
         with pytest.raises(DataError, match="line 2"):
             parse_events("1,1,5,0\n1,1,6,2\n")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import check_grads
 from tempospike.engine import (
+    EngineError,
     ShapeError,
     SurrogateConfig,
     Tape,
@@ -14,14 +15,19 @@ from tempospike.engine import (
     bntt_seq,
     concat,
     conv2d,
+    add,
     cross_entropy,
+    div,
+    lif_scan,
     matmul,
     mse,
+    mul,
     select_channels,
     sigmoid,
     soft_spike_forward,
     spike,
     square,
+    sub,
     surrogate_grad,
 )
 
@@ -369,12 +375,47 @@ class TestBackward:
         # the sweep norm still counts the gradients of loss (1) and h (1, 1)
         assert tape.grad_norm == pytest.approx(math.sqrt(1 + 2 + 18))
 
+    def test_constant_inputs_get_no_gradient(self):
+        x = Tensor(np.full((2, 3), 3.0), requires_grad=True)
+        c = Tensor(np.full((2, 3), 2.0))
+        with Tape() as tape:
+            for op in (add, sub, mul, div):
+                op(x, c)
+                op(c, x)
+        for node in tape.nodes:
+            grads = node.backward(np.ones((2, 3)))
+            assert [g is None for g in grads] == [not t.requires_grad for t in node.inputs]
+
     def test_gradient_accumulates_over_reuse(self):
         w = Tensor([[1.0]], requires_grad=True)
         with Tape() as tape:
             y = matmul(Tensor([[2.0]]), w) + matmul(Tensor([[3.0]]), w)
             loss = y.sum()
         assert tape.backward(loss)[w].item() == 5.0
+
+
+class TestLifScan:
+    @pytest.mark.parametrize("reset_mode", ["soft", "hard"])
+    @pytest.mark.parametrize("spike_mode", ["hard", "soft"])
+    def test_chunks_with_carried_state_equal_one_scan(self, reset_mode, spike_mode):
+        rng = np.random.default_rng(23)
+        drive = rng.normal(0.6, 0.8, size=(7 * 4, 5))
+        leak, threshold = Tensor(0.7), Tensor(0.9)
+        whole, end = lif_scan(Tensor(drive), leak, threshold, 7, reset_mode, SurrogateConfig(),
+                              spike_mode)
+        first, state = lif_scan(Tensor(drive[:3 * 4]), leak, threshold, 3, reset_mode,
+                                SurrogateConfig(), spike_mode)
+        rest, state = lif_scan(Tensor(drive[3 * 4:]), leak, threshold, 4, reset_mode,
+                               SurrogateConfig(), spike_mode, state)
+        assert np.array_equal(np.concatenate([first.data, rest.data]), whole.data)
+        assert all(np.array_equal(a, b) for a, b in zip(state, end))
+        assert 0 < whole.data.sum() < whole.size
+
+    def test_initial_state_under_a_tape_is_refused(self):
+        drive = Tensor(np.ones((2, 3)), requires_grad=True)
+        _, state = lif_scan(drive, Tensor(0.5), Tensor(1.0), 2, "soft", SurrogateConfig())
+        with Tape(), pytest.raises(EngineError, match="initial state"):
+            lif_scan(drive, Tensor(0.5), Tensor(1.0), 2, "soft", SurrogateConfig(), init=state)
 
 
 class TestLosses:

@@ -1,5 +1,5 @@
-"""The layer-major executor against the time-major one, and which gradients
-a backward pass returns."""
+"""The chunked executor against the time-major one, which executor runs
+when, and which gradients a backward pass returns."""
 
 import numpy as np
 import pytest
@@ -16,10 +16,11 @@ SURR = SurrogateConfig(2.0)
 REL_TOL = 1e-10
 
 
-def random_forward_spec(rng: np.random.Generator) -> ArchSpec:
-    """Small graph with forward edges only, mixing dense/conv layers, spiking
-    and non-spiking activations, merges, blends, delays, BNTT and resets."""
-    T = int(rng.integers(2, 7))
+def random_spec(rng: np.random.Generator, backward: bool = False) -> ArchSpec:
+    """Small graph mixing dense/conv layers, spiking and non-spiking
+    activations, merges, blends, delays, BNTT and resets; forward edges only,
+    or with one more edge pointing backward."""
+    T = int(rng.integers(2, 7)) + 3 * backward
 
     def act():
         return str(rng.choice(["lif", "lif", "relu", "linear"]))
@@ -49,6 +50,13 @@ def random_forward_spec(rng: np.random.Generator) -> ArchSpec:
                                merge=str(rng.choice(["concat", "add"])),
                                alpha=bool(rng.random() < 0.4),
                                alpha_init=float(rng.normal())))
+        if backward:
+            dest = int(rng.integers(1, depth))
+            edges.append(TSkip(origin=int(rng.integers(dest + 1, depth + 1)), dest=dest,
+                               delta_t=int(rng.integers(1, T)),
+                               merge=str(rng.choice(["concat", "add"])),
+                               alpha=bool(rng.random() < 0.3),
+                               alpha_init=float(rng.normal())))
         spec = ArchSpec(tskips=tuple(edges), **base)
         if not validate(spec):
             return spec
@@ -72,7 +80,7 @@ def _time_major(net, x, collect, training):
     return graph._run_time_major(net, x, training, "hard", SURR, 0.0, None, collect)
 
 
-def _layer_major(net, x, collect, training):
+def _chunked(net, x, collect, training):
     return run_forward(net, x, mode="train" if training else "eval", surr=SURR,
                        collect=collect)
 
@@ -82,7 +90,7 @@ def test_layer_major_matches_time_major():
     seen = {k: 0 for k in ("conv", "bntt", "alpha", "concat", "add", "dt0", "hard",
                            "soft", "relu", "linear", "spikes")}
     for trial in range(30):
-        spec = random_forward_spec(rng)
+        spec = random_spec(rng)
         seen["conv"] += spec.layers[0].kind == "conv2d"
         seen["bntt"] += spec.bntt
         seen[spec.reset] += 1
@@ -100,7 +108,7 @@ def test_layer_major_matches_time_major():
         ref_net, net = Network.build(spec, seed=trial), Network.build(spec, seed=trial)
         for training in (False, True):
             ref, ref_layers, ref_grads = _traced(_time_major, ref_net, x, target, training)
-            got, got_layers, got_grads = _traced(_layer_major, net, x, target, training)
+            got, got_layers, got_grads = _traced(_chunked, net, x, target, training)
             tag = f"trial {trial} ({'train' if training else 'eval'})"
             assert got.stats == ref.stats, tag
             for l, layer in enumerate(spec.layers, start=1):
@@ -136,9 +144,50 @@ def test_conv_readout_sequence_matches():
     assert _close(got.outputs.data, ref.outputs.data)
 
 
+def test_tape_free_chunks_match_time_major():
+    rng = np.random.default_rng(77)
+    seen = {k: 0 for k in ("conv", "bntt", "blend", "concat", "add", "hard", "soft",
+                           "ragged", "several", "spikes")}
+    for trial in range(32):
+        spec = random_spec(rng, backward=True)
+        steps = graph._chunk_steps(spec)
+        assert 1 <= steps < spec.T
+        back = [e for e in spec.tskips if not e.is_forward]
+        seen["conv"] += spec.layers[0].kind == "conv2d"
+        seen["bntt"] += spec.bntt
+        seen[spec.reset] += 1
+        seen["blend"] += any(e.alpha for e in back)
+        seen["ragged"] += spec.T % steps != 0
+        seen["several"] += steps > 1
+        for e in spec.tskips:
+            seen[e.merge] += 1
+        batch = 3
+        x = (rng.random((spec.T, batch) + spec.input_shape) < 0.5).astype(np.float64)
+        ref_net, net = Network.build(spec, seed=trial), Network.build(spec, seed=trial)
+        for training in (False, True):
+            ref_layers = {l: None for l in range(1, spec.depth + 1)}
+            got_layers = dict(ref_layers)
+            ref = graph._run_time_major(ref_net, x, training, "hard", SURR, 0.0, None,
+                                        ref_layers)
+            got = run_forward(net, x, mode="train" if training else "eval", surr=SURR,
+                              collect=got_layers)
+            tag = f"trial {trial} ({'train' if training else 'eval'}, {steps} steps)"
+            assert got.stats == ref.stats, tag
+            for l, layer in enumerate(spec.layers, start=1):
+                if layer.activation == "lif":
+                    assert np.array_equal(got_layers[l], ref_layers[l]), f"{tag}: L{l} spikes"
+                    seen["spikes"] += int(ref_layers[l].sum() > 0)
+                else:
+                    assert _close(got_layers[l], ref_layers[l]), f"{tag}: L{l} output"
+            assert _close(got.outputs.data, ref.outputs.data), tag
+            for name, arr in net.state.items():
+                assert _close(arr, ref_net.state[name]), f"{tag}: {name}"
+    assert all(n >= 3 for n in seen.values()), seen
+
+
 def test_executor_is_chosen_by_edge_direction(monkeypatch):
     calls = []
-    for name in ("_run_layer_major", "_run_time_major"):
+    for name in ("_run_chunked", "_run_time_major"):
         original = getattr(graph, name)
         monkeypatch.setattr(graph, name, lambda *a, _o=original, _n=name, **k:
                             calls.append(_n) or _o(*a, **k))
@@ -147,8 +196,23 @@ def test_executor_is_chosen_by_edge_direction(monkeypatch):
         spec = ArchSpec(input_shape=(5,), layers=(LayerSpec("dense", 4),
                                                   LayerSpec("dense", 3, activation="li")),
                         tskips=edges, T=4)
-        run_forward(Network.build(spec, seed=0), x)
-    assert calls == ["_run_layer_major", "_run_layer_major", "_run_time_major"]
+        net = Network.build(spec, seed=0)
+        run_forward(net, x)
+        with Tape():
+            run_forward(net, x, mode="train")
+    assert calls == ["_run_chunked"] * 5 + ["_run_time_major"]
+
+
+def test_chunk_steps_come_from_backward_edges():
+    layers = (LayerSpec("dense", 4), LayerSpec("dense", 4), LayerSpec("dense", 3, activation="li"))
+
+    def steps(*edges):
+        return graph._chunk_steps(ArchSpec(input_shape=(5,), layers=layers, tskips=edges, T=9))
+
+    assert steps() == 9
+    assert steps(TSkip(0, 2, 1), TSkip(1, 3, 0)) == 9
+    assert steps(TSkip(3, 1, 4), TSkip(2, 1, 6), TSkip(0, 2, 2)) == 4
+    assert steps(TSkip(3, 1, 4), TSkip(3, 2, 5, alpha=True)) == 1
 
 
 @pytest.mark.parametrize("tskips", [
