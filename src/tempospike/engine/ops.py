@@ -410,7 +410,8 @@ def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_m
         return (gd.reshape(drive.shape), np.asarray(g_leak).reshape(leak.shape),
                 np.asarray(g_th).reshape(threshold.shape))
 
-    return record((drive, leak, threshold), o_seq.reshape(drive.shape), back), (u, o)
+    # a copy, so that the state does not keep the whole spike sequence alive
+    return record((drive, leak, threshold), o_seq.reshape(drive.shape), back), (u, o.copy())
 
 
 def li_scan(drive: Tensor, leak: Tensor, init: Tensor) -> Tensor:

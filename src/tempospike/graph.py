@@ -643,7 +643,7 @@ def _layer_sequence(net: Network, l: int, seqs: list[Tensor | None],
     if layer.activation == "li":
         init = carry.get(l, Tensor(np.zeros((batch,) + net.shapes[l])))
         h = li_scan(drive, net.params[f"L{l}.leak"], init)
-        carry[l] = Tensor(h.data[-batch:])
+        carry[l] = Tensor(h.data[-batch:].copy())
         return h
     if layer.activation == "relu":
         return relu(drive)

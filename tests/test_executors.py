@@ -29,8 +29,10 @@ def random_spec(rng: np.random.Generator, backward: bool = False) -> ArchSpec:
         input_shape = (int(rng.integers(1, 3)), 6, 6)
         layers = [LayerSpec("conv2d", int(rng.integers(2, 5)), kernel=3, stride=1,
                             activation=act()),
+                  # a backward edge into a conv layer needs the same map size
                   LayerSpec("conv2d", int(rng.integers(2, 5)), kernel=3,
-                            stride=int(rng.integers(1, 3)), activation=act()),
+                            stride=1 if backward else int(rng.integers(1, 3)),
+                            activation=act()),
                   LayerSpec("dense", int(rng.integers(3, 7)), activation=act())]
     else:
         input_shape = (int(rng.integers(3, 8)),)
@@ -52,7 +54,8 @@ def random_spec(rng: np.random.Generator, backward: bool = False) -> ArchSpec:
                                alpha_init=float(rng.normal())))
         if backward:
             dest = int(rng.integers(1, depth))
-            edges.append(TSkip(origin=int(rng.integers(dest + 1, depth + 1)), dest=dest,
+            origin = dest + 1 if rng.random() < 0.5 else int(rng.integers(dest + 1, depth + 1))
+            edges.append(TSkip(origin=origin, dest=dest,
                                delta_t=int(rng.integers(1, T)),
                                merge=str(rng.choice(["concat", "add"])),
                                alpha=bool(rng.random() < 0.3),
@@ -146,8 +149,8 @@ def test_conv_readout_sequence_matches():
 
 def test_tape_free_chunks_match_time_major():
     rng = np.random.default_rng(77)
-    seen = {k: 0 for k in ("conv", "bntt", "blend", "concat", "add", "hard", "soft",
-                           "ragged", "several", "spikes")}
+    seen = {k: 0 for k in ("conv", "conv_back", "bntt", "blend", "concat", "add", "hard",
+                           "soft", "ragged", "several", "spikes")}
     for trial in range(32):
         spec = random_spec(rng, backward=True)
         steps = graph._chunk_steps(spec)
@@ -157,6 +160,7 @@ def test_tape_free_chunks_match_time_major():
         seen["bntt"] += spec.bntt
         seen[spec.reset] += 1
         seen["blend"] += any(e.alpha for e in back)
+        seen["conv_back"] += any(spec.layers[e.dest - 1].kind == "conv2d" for e in back)
         seen["ragged"] += spec.T % steps != 0
         seen["several"] += steps > 1
         for e in spec.tskips:
