@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import json
 import math
 from pathlib import Path
+import warnings
 
 import numpy as np
 
@@ -91,32 +92,62 @@ def _is_int(field: str) -> bool:
     return True
 
 
+def _numbered(body: list[str], start: int) -> list[tuple[int, str]]:
+    """The non-blank lines of ``body``, stripped, with their line numbers in
+    a file whose first ``start`` lines came before ``body``."""
+    return [(n, line) for n, line in enumerate(map(str.strip, body), start + 1) if line]
+
+
+def _c_table(text: str, body: list[str], width: int) -> np.ndarray | None:
+    """``body`` as an (n, ``width``) int64 table read by numpy's C reader, or
+    None where that reader might read it differently from ``int()``. On ASCII
+    text it accepts a subset of what ``int()`` accepts, with the same values,
+    except that it strips U+001F as whitespace; on other text it reads some
+    letters as digits. Text holding either is left to ``int()``, and so is a
+    body without data (where the reader warns) and one that the reader
+    rejects, warns about or reads into another number of columns; a blank
+    line inside the body is a row it rejects."""
+    if not text.isascii() or "\x1f" in text or not any(map(str.strip, body)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(body, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return table if table.shape[1] == width else None
+
+
 def _read_table(text: str, fields: tuple[str, ...], what: str, checks) -> tuple[np.ndarray, ...]:
-    """The int64 columns of ``text``'s CSV lines, each field read by ``int()``.
-    Blank lines are skipped, and so is a first line whose first field ``int()``
-    rejects (a header). ``checks`` are ``(test, message)`` pairs, ``test``
-    mapping the columns by field name to a mask of bad rows; the first bad
-    line, and on it the first failed check, raises ``DataError``."""
+    """The int64 columns of ``text``'s CSV lines, each field read as ``int()``
+    reads it. Blank lines are skipped, and so is a first line whose first
+    field ``int()`` rejects (a header). ``checks`` are ``(test, message)``
+    pairs, ``test`` mapping the columns by field name to a mask of bad rows;
+    the first bad line, and on it the first failed check, raises
+    ``DataError``."""
     lines = text.splitlines()
     start = 1 if lines and not _is_int(lines[0].split(",")[0]) else 0
-    rows = [(n, line) for n, line in enumerate(map(str.strip, lines[start:]), start + 1) if line]
+    body = lines[start:]
     width = len(fields)
-    try:
-        if any(line.count(",") != width - 1 for _, line in rows):
-            raise ValueError
-        values = (field for _, line in rows for field in line.split(","))
-        table = np.fromiter(map(int, values), np.int64, len(rows) * width).reshape(-1, width)
-    except (ValueError, OverflowError):
-        lineno, error = next((n, error) for n, line in rows
-                             if (error := _row_error(line, width, what)))
-        # the well-formed lines before it may fail a check first
-        _read_table("\n".join(lines[:lineno - 1]), fields, what, checks)
-        raise DataError(f"line {lineno}: {error}") from None
+    table = _c_table(text, body, width)
+    if table is None:
+        rows = _numbered(body, start)
+        try:
+            if any(line.count(",") != width - 1 for _, line in rows):
+                raise ValueError
+            values = (field for _, line in rows for field in line.split(","))
+            table = np.fromiter(map(int, values), np.int64, len(rows) * width).reshape(-1, width)
+        except (ValueError, OverflowError):
+            lineno, error = next((n, error) for n, line in rows
+                                 if (error := _row_error(line, width, what)))
+            # the well-formed lines before it may fail a check first
+            _read_table("\n".join(lines[:lineno - 1]), fields, what, checks)
+            raise DataError(f"line {lineno}: {error}") from None
     columns = dict(zip(fields, table.T))
     bad = np.array([test(columns) for test, _ in checks])
     if bad.any():
         row, check = divmod(int(bad.T.argmax()), len(checks))
-        raise DataError(f"line {rows[row][0]}: "
+        raise DataError(f"line {_numbered(body, start)[row][0]}: "
                         + checks[check][1].format(**dict(zip(fields, table[row]))))
     return tuple(table.T)
 

@@ -478,7 +478,8 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
     backward pass. All paths give the same result up to the rounding of
     batched matrix products; dropout draws one mask per layer per chunk, or
     per step when time-major. ``collect`` maps layer indices to slots that
-    receive that layer's raw output sequence as a [T, batch, ...] array.
+    receive that layer's raw output sequence as a [T, batch, ...] array;
+    layer 0 receives ``x`` itself, whichever path runs.
     """
     spec = net.spec
     if x.shape[0] != spec.T:
@@ -494,8 +495,11 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
         raise ValueError("training with dropout needs an rng")
     backward = any(not e.is_forward for e in spec.tskips)
     execute = _run_time_major if backward and active_tape() is not None else _run_chunked
-    return execute(net, x, training, spike_mode, surr or SurrogateConfig(),
-                   dropout if training else 0.0, rng, collect)
+    result = execute(net, x, training, spike_mode, surr or SurrogateConfig(),
+                     dropout if training else 0.0, rng, collect)
+    if collect is not None and 0 in collect:
+        collect[0] = x
+    return result
 
 
 def _chunk_steps(spec: ArchSpec) -> int:
@@ -715,7 +719,7 @@ def _run_time_major(net: Network, x: np.ndarray, training: bool, spike_mode: str
             li_potentials[i] = Tensor(np.zeros(shape))
 
     if collect is not None:
-        for l in collect:
+        for l in set(collect) - {0}:
             collect[l] = np.empty((spec.T, batch) + net.shapes[l])
     outputs: list[Tensor] = []
     for t in range(spec.T):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,10 @@ from tempospike.data import (
 
 # fields the per-row parser reads as integers, or rejects, in its own ways
 ODD_FIELDS = ["", " ", "a", "1.5", "0x1", "+5", "1_000", "\u0663", "\uff15", "\u00b2", "-0",
-              " 7 ", "\t3", "\u20039", "-", "1,", "5\x0c", str(2**63 - 1), str(-2**63)]
+              " 7 ", "\t3", "\u20039", "-", "1,", "5\x0c", str(2**63 - 1), str(-2**63),
+              "1.0", "1e3", "nan", "inf", "#1", "5#", '"5"', "1 0", "0b1", " 5",
+              # numpy's C reader takes these letters for digits
+              "\u01fe", "1\u01fe", "-\u04ff"]
 ODD_VALUES = [-1, -7, 0, 2, 3, 10**19, -10**19, 2**63, -2**63 - 1]
 BEYOND_INT64 = {str(v) for v in ODD_VALUES if not -2**63 <= v < 2**63}
 
@@ -131,6 +136,21 @@ class TestParse:
             # the row parser let a value beyond int64 through its checks and
             # then failed converting it; the table reader names its line
             assert beyond_int64 and actual[0] == "error" and "beyond int64" in actual[1]
+
+    @pytest.mark.parametrize("text", ["x,y,t,p", "x,t\r\n", "x,t\n\n \n", "\n", " \n\t\n",
+                                      "\r\n  \r\n"])
+    def test_header_or_blank_only_body_is_empty(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(parse_events(text)) == 0 and len(parse_audio_events(text)) == 0
+
+    @pytest.mark.parametrize("text", ["0,1\n5\x1f,2", "0,1\n1,\x1f5", "0,1\n\u01fe,2"])
+    def test_field_int_rejects_names_its_line(self, text):
+        # numpy's C reader strips U+001F as whitespace and reads U+01FE as a
+        # digit; int() rejects both. (The row parser strips every field with
+        # str.strip, which removes U+001F, so it is no reference here.)
+        with pytest.raises(DataError, match="^line 2: non-integer field"):
+            parse_audio_events(text)
 
     @pytest.mark.parametrize("text", ["0,9223372036854775808", "0,1\n-9223372036854775809,2"])
     def test_field_beyond_int64_names_its_line(self, text):

@@ -1,6 +1,8 @@
 """The chunked executor against the time-major one, which executor runs
 when, and which gradients a backward pass returns."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,20 @@ def test_executor_is_chosen_by_edge_direction(monkeypatch):
             run_forward(net, x, mode="train")
     assert calls == ["_run_chunked"] * 5 + ["_run_time_major"]
 
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("tskips", [(), (TSkip(0, 2, 1),), (TSkip(2, 1, 1),), (TSkip(3, 1, 2),)])
+def test_collect_hands_back_the_input_for_layer_0(tskips, taped):
+    # one chunk, several chunks, and time-major under a tape
+    spec = ArchSpec(input_shape=(5,), layers=(LayerSpec("dense", 4), LayerSpec("dense", 4),
+                                              LayerSpec("dense", 3, activation="li")),
+                    tskips=tskips, T=6)
+    x = (np.random.default_rng(1).random((6, 2, 5)) < 0.5).astype(np.float64)
+    collect = {0: None, 2: None}
+    with Tape() if taped else contextlib.nullcontext():
+        run_forward(Network.build(spec, seed=0), x, collect=collect)
+    assert collect[0] is x
+    assert collect[2].shape == (6, 2, 4)
 
 def test_chunk_steps_come_from_backward_edges():
     layers = (LayerSpec("dense", 4), LayerSpec("dense", 4), LayerSpec("dense", 3, activation="li"))
