@@ -1,5 +1,7 @@
 """Minimal dense-tensor engine with reverse-mode differentiation on a tape."""
 
+import ctypes
+
 from .ops import (
     SurrogateConfig,
     affine,
@@ -83,3 +85,22 @@ __all__ = [
     "sum_steps",
     "surrogate_grad",
 ]
+
+
+def _keep_freed_arrays_mapped() -> None:
+    """Serve arrays up to 32 MiB from glibc's heap and keep freed heap pages
+    mapped, so the sequence arrays one training step frees are reused by the
+    next instead of being returned to the OS and faulted back in page by page.
+    Fixes ``M_MMAP_THRESHOLD`` at its 64-bit maximum and ``M_TRIM_THRESHOLD``
+    at 1 GiB; without glibc's ``mallopt``, or if it refuses, nothing changes."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_arrays_mapped()

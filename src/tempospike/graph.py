@@ -477,9 +477,10 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
     at a time, because the state carried from one chunk to the next has no
     backward pass. All paths give the same result up to the rounding of
     batched matrix products; dropout draws one mask per layer per chunk, or
-    per step when time-major. ``collect`` maps layer indices to slots that
-    receive that layer's raw output sequence as a [T, batch, ...] array;
-    layer 0 receives ``x`` itself, whichever path runs.
+    per step when time-major. ``collect`` maps layer indices in [0, depth]
+    to slots that receive that layer's raw output sequence as a
+    [T, batch, ...] array; layer 0 receives ``x`` itself, whichever path
+    runs.
     """
     spec = net.spec
     if x.shape[0] != spec.T:
@@ -490,6 +491,9 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
         raise GraphError("input holds non-finite values")
     if dropout and not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout must lie in [0, 1), got {dropout}")
+    outside = [l for l in collect or () if l not in range(spec.depth + 1)]
+    if outside:
+        raise GraphError(f"collect layers {outside} lie outside [0, {spec.depth}]")
     training = mode == "train"
     if training and dropout > 0.0 and rng is None:
         raise ValueError("training with dropout needs an rng")

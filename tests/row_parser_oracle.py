@@ -1,7 +1,10 @@
 """The per-row CSV event parser that ``tempospike.data`` used before its
-table reader, kept as the reference the reader is tested against. Only its
-header rule has changed since: a first line is a header when ``int()``
-rejects its first field."""
+table reader, kept as the reference the reader is tested against. Two rules
+have changed since: a first line is a header when ``int()`` rejects its
+first field, and a field is read as ``int()`` reads it, without first being
+stripped with ``str.strip``, which also removes U+001F. ``int()`` strips all
+other whitespace itself and rejects U+001F; U+001C to U+001E never reach a
+field, because ``splitlines`` splits lines on them."""
 
 import numpy as np
 
@@ -20,7 +23,7 @@ def _iter_rows(text: str, n_fields: int, what: str):
         line = lines[lineno].strip()
         if not line:
             continue
-        parts = [p.strip() for p in line.split(",")]
+        parts = line.split(",")
         if len(parts) != n_fields:
             raise DataError(f"line {lineno + 1}: expected {n_fields} {what} fields, "
                             f"got {len(parts)}")

@@ -223,6 +223,25 @@ def test_collect_hands_back_the_input_for_layer_0(tskips, taped):
     assert collect[0] is x
     assert collect[2].shape == (6, 2, 4)
 
+
+@pytest.mark.parametrize("taped, tskips", [(False, ()), (True, (TSkip(3, 1, 1),))],
+                         ids=["chunked", "time-major"])
+@pytest.mark.parametrize("layer", [-1, 4, 7])
+def test_collect_outside_the_layers_is_rejected(monkeypatch, taped, tskips, layer):
+    # the chunked executor, and the time-major one under a tape with a back edge
+    def never(*args):
+        raise AssertionError("an executor ran")
+
+    monkeypatch.setattr(graph, "_run_chunked", never)
+    monkeypatch.setattr(graph, "_run_time_major", never)
+    net = Network.build(graph.mlp_spec([4, 6, 5, 3], T=3, tskips=tskips), seed=0)
+    collect = {1: None, layer: None}
+    with Tape() if taped else contextlib.nullcontext():
+        with pytest.raises(graph.GraphError, match=rf"\[{layer}\] lie outside \[0, 3\]"):
+            run_forward(net, np.zeros((3, 2, 4)), collect=collect)
+    assert collect == {1: None, layer: None}
+
+
 def test_chunk_steps_come_from_backward_edges():
     layers = (LayerSpec("dense", 4), LayerSpec("dense", 4), LayerSpec("dense", 3, activation="li"))
 
