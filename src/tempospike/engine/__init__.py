@@ -10,6 +10,7 @@ from .ops import (
     conv2d,
     cross_entropy,
     delay,
+    dropout,
     li_scan,
     lif_scan,
     lif_update,
@@ -61,6 +62,7 @@ __all__ = [
     "cross_entropy",
     "delay",
     "div",
+    "dropout",
     "index",
     "li_scan",
     "lif_scan",

@@ -22,8 +22,8 @@ class SurrogateConfig:
     alpha_surr: float = 2.0
 
     def __post_init__(self):
-        if not self.alpha_surr > 0:
-            raise ValueError(f"alpha_surr must be positive, got {self.alpha_surr}")
+        if not 0 < self.alpha_surr < math.inf:
+            raise ValueError(f"alpha_surr must be finite and positive, got {self.alpha_surr}")
 
 
 def surrogate_grad(z: Array, alpha: float) -> Array:
@@ -89,6 +89,24 @@ def square(x: Tensor) -> Tensor:
     return record((x,), x.data * x.data, back)
 
 
+def dropout(x: Tensor, keep: Array, p: float) -> Tensor:
+    """Inverted dropout, x * (keep / (1 - p)), for a boolean ``keep`` mask of
+    x's shape. The tape keeps the mask at one byte per value, and both passes
+    apply it without building a float mask."""
+    if keep.shape != x.shape:
+        raise ShapeError(f"dropout mask {keep.shape} does not match input {x.shape}")
+    scale = 1.0 / (1.0 - p)
+
+    def scaled(a: Array) -> Array:
+        # bit for bit a * (keep / (1 - p)): a * True is a, a * False is the
+        # signed zero a * 0.0 gives, and True / (1 - p) is ``scale``
+        out = a * keep
+        out *= scale
+        return out
+
+    return record((x,), scaled(x.data), lambda g: (scaled(g),))
+
+
 def concat(a: Tensor, b: Tensor, axis: int = 1) -> Tensor:
     if a.ndim != b.ndim:
         raise ShapeError(f"concat rank mismatch: {a.shape} vs {b.shape}")
@@ -146,8 +164,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     kernel and column gradients, the latter added back into the padded input
     by a kh*kw loop of slice adds. The batch is the innermost axis of the
     columns and of the padded input, so each window row is one contiguous run
-    of w'*b values in both copies. The columns are rebuilt in the backward
-    pass, never kept on the tape.
+    of w'*b values in both copies. The padded input and the columns are
+    rebuilt from ``x`` in the backward pass, never kept on the tape.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input/kernel, got {x.shape} and {kernel.shape}")
@@ -162,11 +180,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
     oh, pt, pb = _same_pad(h, kh, stride)
     ow, pl, pr = _same_pad(w, kw, stride)
-    # padded input, (c, hp, wp, b)
-    xp = np.pad(x.data.transpose(1, 2, 3, 0), ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    pads = ((0, 0), (pt, pb), (pl, pr), (0, 0))
 
     def columns() -> Array:
-        # windows (c, oh, ow, b, kh, kw) -> rows (c, kh, kw), columns (oh, ow, b)
+        # padded input (c, hp, wp, b) -> windows (c, oh, ow, b, kh, kw)
+        # -> rows (c, kh, kw), columns (oh, ow, b)
+        xp = np.pad(x.data.transpose(1, 2, 3, 0), pads)
         win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
         return win.transpose(0, 4, 5, 1, 2, 3).reshape(c * kh * kw, oh * ow * b)
 
@@ -180,7 +199,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
         gx = None
         if x.requires_grad:
             gcols = (w2.T @ g2).reshape(c, kh, kw, oh, ow, b)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((c, pt + h + pb, pl + w + pr, b))
             for k in range(kh):
                 for l in range(kw):
                     gxp[:, k:k + oh * stride:stride, l:l + ow * stride:stride] += gcols[:, k, l]
@@ -193,7 +212,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
 
 def _batch_norm(x: Array, gamma: Array, beta: Array, running_mean: Array,
                 running_var: Array, training: bool, momentum: float, eps: float):
-    """Normalize one timestep's slice; returns the output and its backward."""
+    """Normalize one timestep's slice; returns the output and its backward,
+    which keeps the slice's mean and inverse deviation and rebuilds x-hat."""
     axes = (0,) if x.ndim == 2 else (0, 2, 3)
     shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
     if training:
@@ -206,15 +226,23 @@ def _batch_norm(x: Array, gamma: Array, beta: Array, running_mean: Array,
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mu = running_mean
+        # a copy: a later in-place update of the running row must not move
+        # the x-hat a pending backward pass rebuilds
+        mu = running_mean.copy()
         var = running_var
 
     ivar = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu.reshape(shape)) * ivar.reshape(shape)
-    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
+
+    def normalized() -> Array:
+        xhat = x - mu.reshape(shape)
+        xhat *= ivar.reshape(shape)
+        return xhat
+
+    out = gamma.reshape(shape) * normalized() + beta.reshape(shape)
     m = x.size // gamma.size
 
     def back(g):
+        xhat = normalized()
         gbeta = g.sum(axis=axes)
         ggamma = (g * xhat).sum(axis=axes)
         dxhat = g * gamma.reshape(shape)

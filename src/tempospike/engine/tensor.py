@@ -184,7 +184,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 # The elementwise ops below skip the gradient of an input that does not
-# require one, such as a constant dropout mask: the tape would drop it anyway.
+# require one, such as a constant mask: the tape would drop it anyway.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def back(g):

@@ -34,6 +34,7 @@ from .engine import (
     concat,
     conv2d,
     delay,
+    dropout as apply_dropout,
     li_scan,
     lif_scan,
     relu,
@@ -553,8 +554,7 @@ def _drive(net: Network, l: int, merged: Tensor, dropout: float,
     """Dropout on the merged input, then the layer's weights and bias."""
     layer = net.spec.layers[l - 1]
     if dropout:
-        keep = (rng.random(merged.shape) >= dropout) / (1.0 - dropout)
-        merged = merged * Tensor(keep)
+        merged = apply_dropout(merged, rng.random(merged.shape) >= dropout, dropout)
     if layer.kind == "dense":
         return affine(merged, net.params[f"L{l}.w"], net.params[f"L{l}.b"])
     return conv2d(merged, net.params[f"L{l}.w"], net.params[f"L{l}.b"], layer.stride)

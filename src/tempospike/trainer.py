@@ -185,6 +185,11 @@ class TrainConfig:
             raise ConfigError(f"lr_init must be finite and positive, got {self.lr_init}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if not self.grad_clip >= 0.0:  # 0 turns clipping off
+            raise ConfigError(f"grad_clip must be >= 0, got {self.grad_clip}")
+        if not 0.0 < self.surrogate_alpha < math.inf:
+            raise ConfigError(f"surrogate_alpha must be finite and positive, "
+                              f"got {self.surrogate_alpha}")
 
 
 @dataclass
@@ -261,6 +266,11 @@ def train(spec: ArchSpec, train_ds: Dataset, cfg: TrainConfig,
         _check_labels(val_ds, spec)
     if cfg.bntt is not None and cfg.bntt != spec.bntt:
         spec = replace(spec, bntt=cfg.bntt)
+    if spec.bntt and any(layer.activation == "lif" for layer in spec.layers) and (
+            cfg.batch_size == 1 or len(train_ds) % cfg.batch_size == 1):
+        raise TrainError(f"BNTT needs at least 2 samples in every training batch; "
+                         f"{len(train_ds)} samples in batches of {cfg.batch_size} "
+                         f"leave a batch of 1")
 
     net = Network.build(spec, seed=int(split_seed(cfg.seed, "init").integers(2**31 - 1)))
     shuffle_rng = split_seed(cfg.seed, "shuffle")

@@ -84,6 +84,24 @@ class TestTrain:
                      "--epochs", "1", "--out", str(tmp_path / "r")])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("batch, code", [("1", EXIT_VALIDATION), ("2", EXIT_VALIDATION),
+                                             ("4", EXIT_VALIDATION), ("3", EXIT_OK)])
+    def test_bntt_batch_of_one_exits_2_before_training(self, tmp_path, capsys, batch, code):
+        # 5 samples leave a last batch of 1 at --batch 2 and 4, where BNTT
+        # has no batch statistics; at --batch 3 the last batch holds 2
+        data = tmp_path / "data"
+        assert main(["synth", "--D", "2", "--T", "4", "--n", "5", "--n-test", "0",
+                     "--classes", "3", "--out", str(data)]) == EXIT_OK
+        spec = tmp_path / "spec.json"
+        save_spec(mlp_spec([4, 8, 3], T=4, bntt=True), spec)
+        out = tmp_path / "run"
+        assert main(["train", "--spec", str(spec), "--data", str(data / "train"),
+                     "--epochs", "1", "--batch", batch, "--out", str(out)]) == code
+        if code == EXIT_VALIDATION:
+            err = capsys.readouterr().err
+            assert f"5 samples in batches of {batch}" in err, err
+            assert not (out / "metrics.csv").exists()
+
     def test_default_flags_are_classification_recipe(self):
         # Adam + cosine 1e-3 -> 5e-6 over 100 epochs is the out-of-the-box recipe
         from tempospike.cli import build_parser

@@ -2,6 +2,7 @@ import math
 import platform
 import resource
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tempospike.engine import (
     add,
     cross_entropy,
     div,
+    dropout,
     lif_scan,
     matmul,
     mse,
@@ -95,6 +97,26 @@ def rel_close(a, ref, tol=1e-12):
     return np.abs(a - ref).max() <= tol * np.abs(ref).max()
 
 
+def tape_growth(op):
+    """Run ``op`` under a tape; return its output and the bytes still
+    allocated after it returns, i.e. what the tape keeps for the backward
+    pass. Everything allocated before the call is not counted."""
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            out = op()
+            grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tape.nodes) == 1
+    return out, grown
+
+
+# room for the node, its closures and a few per-channel vectors
+TAPE_SLACK = 16 << 10
+
+
 class TestConv2d:
     def test_one_by_one_identity(self):
         x = Tensor(np.arange(25, dtype=float).reshape(1, 1, 5, 5))
@@ -167,6 +189,14 @@ class TestConv2d:
         conv_node = tape.nodes[0]
         assert conv_node.backward(np.ones(conv_node.output.shape))[0] is None
 
+    def test_tape_keeps_no_padded_input(self):
+        # the padded (16, 18, 18, 8) input is 5x the output; the backward
+        # pass pads x again
+        rng = np.random.default_rng(6)
+        x, k, b = conv_operands(rng, (8, 16, 16, 16), (4, 16, 3, 3))
+        out, grown = tape_growth(lambda: conv2d(x, k, b, stride=1))
+        assert grown <= out.data.nbytes + TAPE_SLACK, (grown, out.data.nbytes)
+
 
 class TestSpike:
     def test_hard_threshold_is_strict(self):
@@ -182,6 +212,11 @@ class TestSpike:
     def test_surrogate_peak_at_zero(self):
         alpha = 2.0
         assert surrogate_grad(np.array(0.0), alpha) == pytest.approx(alpha / 2)
+
+    @pytest.mark.parametrize("alpha", [0.0, -2.0, math.nan, math.inf])
+    def test_surrogate_sharpness_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(ValueError, match="alpha_surr"):
+            SurrogateConfig(alpha)
 
     def test_surrogate_never_nan(self):
         z = np.array([-1e300, -1e6, 0.0, 1e6, 1e300])
@@ -225,6 +260,51 @@ class TestRelu:
         vals += np.sign(vals) * 0.2  # keep clear of the nondifferentiable point
         x = Tensor(vals, requires_grad=True)
         check_grads(lambda: square(relu(x)).sum(), [x], tol=1e-6)
+
+
+class TestDropout:
+    P = 0.3
+
+    def operands(self, seed, shape=(4, 6)):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=shape), requires_grad=True, name="x")
+        return x, rng.random(shape) >= self.P
+
+    def test_matches_multiplying_by_the_scaled_mask(self):
+        x, keep = self.operands(41)
+        g = np.random.default_rng(42).normal(size=x.shape)
+        results = []
+        for build in (lambda: dropout(x, keep, self.P),
+                      lambda: x * Tensor(keep / (1.0 - self.P))):
+            with Tape() as tape:
+                out = build()
+                loss = (out * Tensor(g)).sum()
+            results.append((out.data, tape.backward(loss)[x]))
+        (out, gx), (ref_out, ref_gx) = results
+        # bit for bit, the signs of dropped zeros included
+        assert np.array_equal(out.view(np.uint64), ref_out.view(np.uint64))
+        assert np.array_equal(gx.view(np.uint64), ref_gx.view(np.uint64))
+
+    def test_gradients_vs_finite_differences(self):
+        x, keep = self.operands(43)
+        check_grads(lambda: square(dropout(x, keep, self.P)).sum(), [x], tol=1e-6)
+
+    def test_mask_shape_mismatch(self):
+        x, keep = self.operands(44)
+        with pytest.raises(ShapeError):
+            dropout(x, keep[:, :3], self.P)
+
+    def test_tape_keeps_a_boolean_mask(self):
+        x, _ = self.operands(45, shape=(256, 128))
+        rng = np.random.default_rng(46)
+        masks = []
+
+        def op():
+            masks.append(rng.random(x.shape) >= self.P)
+            return dropout(x, masks[0], self.P)
+
+        out, grown = tape_growth(op)
+        assert grown <= out.data.nbytes + masks[0].nbytes + TAPE_SLACK, (grown, out.data.nbytes)
 
 
 class TestConcat:
@@ -317,6 +397,33 @@ class TestBntt:
                                    training=True)).sum()
 
         check_grads(build, [x, gamma, beta], tol=1e-4)
+
+    def test_tape_keeps_no_normalized_copy(self):
+        # four steps of a (16, 8, 8, 8) batch; x-hat would double the output
+        steps, c = 4, 8
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(steps * 16, c, 8, 8)), requires_grad=True)
+        gammas = [Tensor(np.ones(c), requires_grad=True) for _ in range(steps)]
+        betas = [Tensor(np.zeros(c), requires_grad=True) for _ in range(steps)]
+        mean, var = np.zeros((steps, c)), np.ones((steps, c))
+        out, grown = tape_growth(lambda: bntt_seq(x, gammas, betas, mean, var, training=True))
+        assert grown <= out.data.nbytes + TAPE_SLACK, (grown, out.data.nbytes)
+
+    def test_inference_backward_ignores_later_running_updates(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        mean, var = rng.normal(size=(1, 3)), np.full((1, 3), 2.0)
+        g = rng.normal(size=x.shape)
+        grads = []
+        for shift in (0.0, 1.0):
+            run_mean = mean.copy()
+            with Tape() as tape:
+                loss = (bntt_seq(x, [gamma], [beta], run_mean, var, training=False)
+                        * Tensor(g)).sum()
+            run_mean += shift
+            grads.append(tape.backward(loss))
+        assert all(np.array_equal(grads[0][t], grads[1][t]) for t in (x, gamma, beta))
 
 
 class TestBackward:

@@ -216,6 +216,8 @@ class TestTrainLoop:
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("batch_size", 0), ("step_every", 0), ("lr_init", 0.0),
         ("lr_init", math.nan), ("lr_init", math.inf), ("dropout", 1.5),
+        ("grad_clip", math.nan), ("grad_clip", -1.0), ("surrogate_alpha", math.nan),
+        ("surrogate_alpha", -2.0), ("surrogate_alpha", 0.0), ("surrogate_alpha", math.inf),
     ])
     def test_config_ranges_checked(self, field, value):
         with pytest.raises(ValueError, match=field):
