@@ -7,13 +7,12 @@ delay in timesteps, a merge operator (channel concatenation or elementwise
 addition), and an optional learnable blend between the origin's current and
 delayed activations. A sequence runs in chunks of C steps, layer by layer
 within a chunk. C is T for a graph with forward edges only, where a delayed
-payload is the origin's sequence shifted in time; with a backward edge, C is
-its shortest delay (1 with a blend), so a chunk reads a later layer only at
-steps of earlier chunks, and neuron state carries from chunk to chunk. While
-a tape records, a graph with a backward edge instead unrolls step by step
-and serves delayed payloads from per-layer ring buffers. Either way, steps
-before the start of the sequence read zeros, and a buffer read from the
-future is a hard error, which keeps the graph causal by construction.
+payload is the origin's sequence shifted in time. With a backward edge, C is
+its shortest delay (1 with a blend), or 1 while a tape records, so a chunk
+reads a later layer only at steps of earlier chunks; each layer that a payload
+reads keeps its chunk outputs, and neuron state carries from chunk to chunk.
+Steps before the start of the sequence read zeros, which keeps the graph
+causal by construction.
 """
 
 from __future__ import annotations
@@ -334,37 +333,6 @@ def shortcut_apply(ws: ShortcutMatrix, x: Tensor) -> Tensor:
     return select_channels(x, ws.selection, axis=1)
 
 
-class DelayBuffer:
-    """Ring buffer over the last ``capacity`` outputs of one layer.
-
-    Reads before the sequence start return a zero tensor; reads of steps that
-    were never written (the future) or that have been overwritten are errors.
-    """
-
-    def __init__(self, capacity: int, zero_shape: tuple[int, ...]):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._slots: list[Tensor | None] = [None] * capacity
-        self._written = -1
-        self._zero = Tensor(np.zeros(zero_shape))
-
-    def write(self, t: int, value: Tensor) -> None:
-        if t != self._written + 1:
-            raise GraphError(f"buffer writes must be sequential, got t={t} after {self._written}")
-        self._slots[t % self.capacity] = value
-        self._written = t
-
-    def read(self, t: int) -> Tensor:
-        if t < 0:
-            return self._zero
-        if t > self._written:
-            raise GraphError(f"buffer read from the future: t={t}, last written {self._written}")
-        if t <= self._written - self.capacity:
-            raise GraphError(f"buffer read expired: t={t} older than capacity {self.capacity}")
-        return self._slots[t % self.capacity]
-
-
 @dataclass
 class SpikeStats:
     """Spike counts per spiking layer, accumulated over forward passes."""
@@ -472,16 +440,15 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
     ``x`` has shape [T, batch, ...input]. The sequence runs in chunks of C
     steps, each chunk one layer at a time over all of its steps. C is T for a
     graph without backward edges, where a delayed skip is its origin's
-    sequence shifted by ``delta_t`` steps, and otherwise the shortest delay
-    of a backward edge, 1 for one with a blend. While a tape records, a graph
-    with a backward edge instead unrolls time-major, one step of every layer
-    at a time, because the state carried from one chunk to the next has no
-    backward pass. All paths give the same result up to the rounding of
-    batched matrix products; dropout draws one mask per layer per chunk, or
-    per step when time-major. ``collect`` maps layer indices in [0, depth]
-    to slots that receive that layer's raw output sequence as a
-    [T, batch, ...] array; layer 0 receives ``x`` itself, whichever path
-    runs.
+    sequence shifted by ``delta_t`` steps. With a backward edge, C is the
+    shortest delay of a backward edge (1 for one with a blend), or 1 while a
+    tape records: the state a one-step chunk carries into the next is made of
+    tape tensors, while longer chunks carry arrays that no backward pass
+    reaches. Every C gives the same result up to the rounding of batched
+    matrix products; dropout draws one mask per layer per chunk. ``collect``
+    maps layer indices in [0, depth] to slots that receive that layer's raw
+    output sequence as a [T, batch, ...] array; layer 0 receives ``x``
+    itself.
     """
     spec = net.spec
     if x.shape[0] != spec.T:
@@ -498,22 +465,23 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
     training = mode == "train"
     if training and dropout > 0.0 and rng is None:
         raise ValueError("training with dropout needs an rng")
-    backward = any(not e.is_forward for e in spec.tskips)
-    execute = _run_time_major if backward and active_tape() is not None else _run_chunked
-    result = execute(net, x, training, spike_mode, surr or SurrogateConfig(),
-                     dropout if training else 0.0, rng, collect)
+    result = _run_chunked(net, x, training, spike_mode, surr or SurrogateConfig(),
+                          dropout if training else 0.0, rng, collect)
     if collect is not None and 0 in collect:
         collect[0] = x
     return result
 
 
 def _chunk_steps(spec: ArchSpec) -> int:
-    """Steps per chunk, from the spec alone: T without a backward edge, else
-    the shortest delay of a backward edge, counting an edge with a blend as 1
-    because its "now" term reads the step before. A chunk then reads a
-    backward edge's origin only at steps of earlier chunks."""
-    return min((1 if e.alpha else e.delta_t for e in spec.tskips if not e.is_forward),
-               default=spec.T)
+    """Steps per chunk: T without a backward edge. With one, 1 while a tape
+    records, and otherwise the shortest delay of a backward edge, counting an
+    edge with a blend as 1 because its "now" term reads the step before. A
+    chunk then reads a backward edge's origin only at steps of earlier
+    chunks."""
+    delays = [1 if e.alpha else e.delta_t for e in spec.tskips if not e.is_forward]
+    if not delays:
+        return spec.T
+    return 1 if active_tape() is not None else min(delays)
 
 
 def _spike_stats(net: Network, batch: int) -> SpikeStats:
@@ -570,26 +538,17 @@ def _bntt(net: Network, l: int, drive: Tensor, start: int, stop: int,
                     net.state[f"L{l}.bntt_var"][start:stop], training)
 
 
-def _steps(seq: np.ndarray, lo: int, hi: int, batch: int) -> np.ndarray:
-    """Steps [lo, hi) of a [T * batch, ...] sequence, zeros before step 0."""
-    if lo >= 0:
-        return seq[lo * batch:hi * batch]
-    head = min(-lo, hi - lo)
-    out = np.zeros(((hi - lo) * batch,) + seq.shape[1:])
-    out[head * batch:] = seq[:(hi - lo - head) * batch]
-    return out
-
-
 def _run_chunked(net: Network, x: np.ndarray, training: bool, spike_mode: str,
                  surr: SurrogateConfig, dropout: float, rng: np.random.Generator | None,
                  collect: dict[int, np.ndarray | None] | None) -> ForwardResult:
     """Chunks of ``_chunk_steps`` steps, each layer-major: a layer processes
     all steps of the chunk at once, as [steps * batch, ...] arrays of timestep
-    blocks. One chunk keeps its sequences as tape tensors. With several, the
-    outputs that skip payloads, ``collect`` and the result read are copied
-    into one [T * batch, ...] array per layer, and each LIF and accumulator
-    layer carries its state into the next chunk; nothing of that is
-    differentiable, so it runs without a tape only."""
+    blocks. With several chunks, each layer that a skip payload, ``collect``
+    or the result reads keeps the list of its chunk outputs, and each LIF and
+    accumulator layer carries its state into the next chunk. One-step chunks
+    carry it as tape tensors, through ``lif_step``'s ``LifState`` and the
+    accumulator's own output; longer chunks carry ``lif_scan``'s arrays, which
+    no backward pass reaches, so they run without a tape only."""
     spec = net.spec
     T, batch = x.shape[:2]
     steps = _chunk_steps(spec)
@@ -598,24 +557,30 @@ def _run_chunked(net: Network, x: np.ndarray, training: bool, spike_mode: str,
     for e in spec.tskips:
         if e.is_forward:
             last_use[e.origin] = max(last_use[e.origin], e.dest)
-    history = None
-    if steps < T:
-        kept = {e.origin for e in spec.tskips} | set(collect or ()) | {spec.depth}
-        history = {l: np.empty((T * batch,) + net.shapes[l]) for l in kept - {0}}
-        if 0 in kept:
-            history[0] = x.reshape((T * batch,) + x.shape[2:])
+    history = zeros = None
     carry: dict[int, object] = {}  # per layer, the state at the end of the last chunk
+    if steps < T:
+        kept = {e.origin for e in spec.tskips} | (set(collect or ()) - {0}) | {spec.depth}
+        history = {l: [] for l in kept}
+        # one chunk of zeros per origin stands for each chunk before step 0
+        zeros = {e.origin: Tensor(np.zeros((steps * batch,) + net.shapes[e.origin]))
+                 for e in spec.tskips}
+        if steps == 1:
+            carry = {l: LifState.zeros((batch,) + net.shapes[l])
+                     for l, layer in enumerate(spec.layers, start=1) if layer.activation == "lif"}
     for s in range(0, T, steps):
         e = min(s + steps, T)
         seqs: list[Tensor | None] = [Tensor(x[s:e].reshape(((e - s) * batch,) + x.shape[2:]))]
+        if history is not None and 0 in history:
+            history[0].append(seqs[0])
         for l, layer in enumerate(spec.layers, start=1):
-            h = _layer_sequence(net, l, seqs, history, s, e, batch, carry,
+            h = _layer_sequence(net, l, seqs, history, zeros, s, e, batch, carry,
                                 training, spike_mode, surr, dropout, rng)
             if layer.activation == "lif":
                 stats.add(l, float(h.data.sum()))
             seqs.append(h)
             if history is not None and l in history:
-                history[l][s * batch:e * batch] = h.data
+                history[l].append(h)
             elif collect is not None and l in collect:
                 collect[l] = h.data.reshape((T, batch) + net.shapes[l])
             for i, last in last_use.items():
@@ -624,14 +589,20 @@ def _run_chunked(net: Network, x: np.ndarray, training: bool, spike_mode: str,
     if history is None:
         out = seqs[-1]
         return ForwardResult(outputs=reshape(out, (T, batch) + out.shape[1:]), stats=stats)
-    for l in collect or ():
-        collect[l] = history[l].reshape((T, batch) + net.shapes[l])
-    out = history[spec.depth]
-    return ForwardResult(outputs=Tensor(out.reshape((T, batch) + out.shape[1:])), stats=stats)
+
+    def sequence(l: int) -> np.ndarray:
+        return np.concatenate([h.data for h in history[l]]).reshape((T, batch) + net.shapes[l])
+
+    for l in set(collect or ()) - {0}:
+        collect[l] = sequence(l)
+    # under a tape, stacking the one-step outputs keeps their gradients
+    outputs = stack(history[spec.depth]) if steps == 1 else Tensor(sequence(spec.depth))
+    return ForwardResult(outputs=outputs, stats=stats)
 
 
 def _layer_sequence(net: Network, l: int, seqs: list[Tensor | None],
-                    history: dict[int, np.ndarray] | None, s: int, e: int, batch: int,
+                    history: dict[int, list[Tensor]] | None,
+                    zeros: dict[int, Tensor] | None, s: int, e: int, batch: int,
                     carry: dict[int, object], training: bool, spike_mode: str,
                     surr: SurrogateConfig, dropout: float,
                     rng: np.random.Generator | None) -> Tensor:
@@ -640,18 +611,24 @@ def _layer_sequence(net: Network, l: int, seqs: list[Tensor | None],
     spec = net.spec
     layer = spec.layers[l - 1]
     # the merged input stays unnamed: without a tape it is freed before the scan
-    drive = _drive(net, l, _sequence_input(net, l, seqs, history, s, e, batch), dropout, rng)
+    drive = _drive(net, l, _sequence_input(net, l, seqs, history, zeros, s, e, batch),
+                   dropout, rng)
     if spec.bntt and layer.activation == "lif":
         drive = _bntt(net, l, drive, s, e, training)
     if layer.activation == "lif":
+        state = carry.get(l)
+        if isinstance(state, LifState):
+            h, carry[l] = lif_step(state, drive, net.lif_params(l), surr, spike_mode)
+            return h
         p = net.lif_params(l)
         h, carry[l] = lif_scan(drive, p.leak, p.threshold, e - s, p.reset_mode, surr,
-                               spike_mode, carry.get(l))
+                               spike_mode, state)
         return h
     if layer.activation == "li":
         init = carry.get(l, Tensor(np.zeros((batch,) + net.shapes[l])))
         h = li_scan(drive, net.params[f"L{l}.leak"], init)
-        carry[l] = Tensor(h.data[-batch:].copy())
+        # a one-step output is the next step's initial state as it is
+        carry[l] = h if e - s == 1 else Tensor(h.data[-batch:].copy())
         return h
     if layer.activation == "relu":
         return relu(drive)
@@ -659,12 +636,14 @@ def _layer_sequence(net: Network, l: int, seqs: list[Tensor | None],
 
 
 def _sequence_input(net: Network, l: int, seqs: list[Tensor | None],
-                    history: dict[int, np.ndarray] | None, s: int, e: int,
+                    history: dict[int, list[Tensor]] | None,
+                    zeros: dict[int, Tensor] | None, s: int, e: int,
                     batch: int) -> Tensor:
     """Layer ``l``'s feed-forward input over steps [s, e) merged with its skip
     payloads. A payload is steps [s - delta_t, e - delta_t) of its origin's
     output, zeros before step 0; a blend's "now" term is steps [s, e), or
-    [s - 1, e - 1) over a backward edge."""
+    [s - 1, e - 1) over a backward edge. Each payload is resized before the
+    blend: both only move values, so the order does not change the result."""
     ff = _flatten_for(net.spec.layers[l - 1], seqs[l - 1])
     merged = ff
     for j, edge in enumerate(net.spec.tskips):
@@ -672,99 +651,36 @@ def _sequence_input(net: Network, l: int, seqs: list[Tensor | None],
             continue
         if history is None:
             # one chunk: the payload is the origin's sequence shifted, and
-            # selecting channels first keeps the shifted copy narrow; both
-            # only move values, so the order does not change the result
+            # selecting channels first keeps the shifted copy narrow
             now = _resize(net, j, edge, seqs[edge.origin], ff)
             payload = delay(now, edge.delta_t * batch) if edge.delta_t else now
         else:
-            origin = history[edge.origin]
-            dt = edge.delta_t
-            payload = _resize(net, j, edge, Tensor(_steps(origin, s - dt, e - dt, batch)), ff)
+            chunks, zero, dt = history[edge.origin], zeros[edge.origin], edge.delta_t
+            payload = _resize(net, j, edge, _window(chunks, zero, s - dt, e - dt, batch), ff)
             if edge.alpha:
                 lag = 0 if edge.is_forward else 1
-                now = _resize(net, j, edge, Tensor(_steps(origin, s - lag, e - lag, batch)), ff)
+                now = _resize(net, j, edge, _window(chunks, zero, s - lag, e - lag, batch), ff)
         if edge.alpha:
             payload = _blend(net, j, now, payload)
         merged = _merge(edge, merged, payload)
     return merged
 
 
-def _run_time_major(net: Network, x: np.ndarray, training: bool, spike_mode: str,
-                    surr: SurrogateConfig, dropout: float, rng: np.random.Generator | None,
-                    collect: dict[int, np.ndarray | None] | None) -> ForwardResult:
-    """Unroll step by step over ring buffers. Every layer consumes its
-    predecessor's current output merged with any delayed skip payloads;
-    buffers are written as soon as a layer's step completes, so within one
-    step the layer order stays the plain feed-forward order and backward
-    edges only ever see the past."""
-    spec = net.spec
-    batch = x.shape[1]
-    depth = spec.depth
-
-    edges_into: dict[int, list[tuple[int, TSkip]]] = {l: [] for l in range(1, depth + 1)}
-    max_delay: dict[int, int] = {}
-    for j, e in enumerate(spec.tskips):
-        edges_into[e.dest].append((j, e))
-        need = max(e.delta_t, 1 if (e.alpha and not e.is_forward) else 0)
-        max_delay[e.origin] = max(max_delay.get(e.origin, 0), need)
-    buffers = {
-        origin: DelayBuffer(d + 1, (batch,) + net.shapes[origin])
-        for origin, d in max_delay.items()
-    }
-
-    lif_states: dict[int, LifState] = {}
-    li_potentials: dict[int, Tensor] = {}
-    stats = _spike_stats(net, batch)
-    for i, layer in enumerate(spec.layers, start=1):
-        shape = (batch,) + net.shapes[i]
-        if layer.activation == "lif":
-            lif_states[i] = LifState.zeros(shape)
-        elif layer.activation == "li":
-            li_potentials[i] = Tensor(np.zeros(shape))
-
-    if collect is not None:
-        for l in set(collect) - {0}:
-            collect[l] = np.empty((spec.T, batch) + net.shapes[l])
-    outputs: list[Tensor] = []
-    for t in range(spec.T):
-        current: list[Tensor | None] = [None] * (depth + 1)
-        current[0] = Tensor(x[t])
-        if 0 in buffers:
-            buffers[0].write(t, current[0])
-        for l in range(1, depth + 1):
-            layer = spec.layers[l - 1]
-            merged = _flatten_for(layer, current[l - 1])
-            for j, edge in edges_into[l]:
-                delayed = buffers[edge.origin].read(t - edge.delta_t)
-                if edge.alpha:
-                    # backward edges cannot see the origin's same-step output,
-                    # so their "current" term is the freshest buffered step
-                    now = current[edge.origin] if edge.is_forward \
-                        else buffers[edge.origin].read(t - 1)
-                    delayed = _blend(net, j, now, delayed)
-                merged = _merge(edge, merged, _resize(net, j, edge, delayed, merged))
-            drive = _drive(net, l, merged, dropout, rng)
-            if spec.bntt and layer.activation == "lif":
-                drive = _bntt(net, l, drive, t, t + 1, training)
-            if layer.activation == "lif":
-                spikes, lif_states[l] = lif_step(lif_states[l], drive, net.lif_params(l),
-                                                 surr, spike_mode=spike_mode)
-                stats.add(l, float(spikes.data.sum()))
-                h = spikes
-            elif layer.activation == "li":
-                li_potentials[l] = li_scan(drive, net.params[f"L{l}.leak"], li_potentials[l])
-                h = li_potentials[l]
-            elif layer.activation == "relu":
-                h = relu(drive)
-            else:
-                h = drive
-            current[l] = h
-            if collect is not None and l in collect:
-                collect[l][t] = h.data
-            if l in buffers:
-                buffers[l].write(t, h)
-        outputs.append(current[depth])
-    return ForwardResult(outputs=stack(outputs), stats=stats)
+def _window(chunks: list[Tensor], zero: Tensor, lo: int, hi: int, batch: int) -> Tensor:
+    """Steps [lo, hi) of a layer's output, from the list of its chunk outputs
+    and ``zero``, one chunk of zeros that stands for each chunk before step 0.
+    A window that is exactly one chunk is that chunk's tensor itself, so it
+    adds nothing to a tape; any other window is a copy, which only tape-free
+    passes read, since under a tape a pass with several chunks has one-step
+    chunks."""
+    steps = zero.shape[0] // batch
+    first, last = lo // steps, (hi - 1) // steps
+    blocks = [chunks[k] if k >= 0 else zero for k in range(first, last + 1)]
+    if lo == first * steps and blocks[0].shape[0] == (hi - lo) * batch:
+        return blocks[0]
+    rows = np.concatenate([b.data for b in blocks])
+    start = (lo - first * steps) * batch
+    return Tensor(rows[start:start + (hi - lo) * batch])
 
 
 # ---------------------------------------------------------------------------

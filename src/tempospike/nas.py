@@ -20,14 +20,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ArchSpec, LayerSpec, Network, TSkip, param_count, run_forward, validate
-from .neuron import init_violations
+from .graph import (LAYER_KINDS, MERGE_OPS, ArchSpec, LayerSpec, Network, TSkip, param_count,
+                    run_forward, validate)
+from .neuron import RESET_MODES, init_violations
 
 KERNEL_EPS = 1e-6
 
 
 class SearchError(Exception):
     pass
+
+
+def _whole(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _whole_tuple(value, floor: int) -> bool:
+    """Whether ``value`` is a non-empty tuple of integers >= ``floor``."""
+    return (isinstance(value, tuple) and len(value) > 0
+            and all(_whole(v) and v >= floor for v in value))
 
 
 @dataclass(frozen=True)
@@ -52,12 +63,40 @@ class SearchSpace:
     threshold_init: float = 1.0
 
     def __post_init__(self):
-        lo, hi = self.delta_t_range
-        if not 1 <= lo <= hi <= self.T - 1:
+        if self.kind not in LAYER_KINDS:
+            raise SearchError(f"kind must be one of {LAYER_KINDS}, got {self.kind!r}")
+        if self.reset not in RESET_MODES:
+            raise SearchError(f"reset must be one of {RESET_MODES}, got {self.reset!r}")
+        if not _whole(self.T):
+            raise SearchError(f"T must be an integer, got {self.T!r}")
+        if not (_whole(self.out_units) and self.out_units >= 1):
+            raise SearchError(f"out_units must be a positive integer, got {self.out_units!r}")
+        dims = (3,) if self.kind == "conv2d" else (1, 3)
+        if not (_whole_tuple(self.input_shape, 1) and len(self.input_shape) in dims):
+            raise SearchError(f"input_shape must be {' or '.join(map(str, dims))} positive "
+                              f"integers for kind {self.kind!r}, got {self.input_shape!r}")
+        for name, floor in (("depth_range", 1), ("width_range", 1), ("tskip_count_range", 0),
+                            ("delta_t_range", 1)):
+            lo_hi = getattr(self, name)
+            if not (_whole_tuple(lo_hi, floor) and len(lo_hi) == 2 and lo_hi[0] <= lo_hi[1]):
+                raise SearchError(f"{name} must be two integers lo <= hi, both >= {floor}, "
+                                  f"got {lo_hi!r}")
+        for name in ("kernel_choices", "stride_choices"):
+            if not _whole_tuple(getattr(self, name), 1):
+                raise SearchError(f"{name} must be a non-empty list of positive integers, "
+                                  f"got {getattr(self, name)!r}")
+        if not (isinstance(self.merge_choices, tuple) and self.merge_choices
+                and all(m in MERGE_OPS for m in self.merge_choices)):
+            raise SearchError(f"merge_choices must be a non-empty list drawn from {MERGE_OPS}, "
+                              f"got {self.merge_choices!r}")
+        if not isinstance(self.alpha, bool):
+            raise SearchError(f"alpha must be true or false, got {self.alpha!r}")
+        if self.delta_t_range[1] > self.T - 1:
             raise SearchError(
                 f"delta_t range {self.delta_t_range} must lie within [1, T-1={self.T - 1}]")
-        if self.param_budget is not None and not 0 < self.param_budget < math.inf:
-            raise SearchError(f"param_budget must be finite and positive, got {self.param_budget}")
+        budget = self.param_budget
+        if budget is not None and (isinstance(budget, bool) or not 0 < budget < math.inf):
+            raise SearchError(f"param_budget must be finite and positive, got {budget}")
         violations = init_violations(self.leak_init, self.threshold_init)
         if violations:
             raise SearchError("; ".join(violations))

@@ -33,6 +33,7 @@ from .graph import (
     run_forward,
     spec_from_dict,
     spec_to_dict,
+    typed,
     validate,
 )
 from .neuron import LEAK_MAX, LEAK_MIN, clamp_params
@@ -394,17 +395,26 @@ def load_checkpoint(path) -> tuple[Network, dict]:
     parameters and running statistics. Every ``p::``/``s::`` array must be
     present, finite and of the rebuilt shape; the rebuilt shortcut selections
     are the ones used, and the stored ``sel::`` arrays must agree with them. A
-    file that is not an npz archive with a JSON ``meta`` record raises
-    ``TrainError``."""
+    file that is not an npz archive with a JSON ``meta`` object, holding a
+    ``spec`` and an integer ``seed`` >= 0, raises ``TrainError``."""
     arrays = _read_npz(path)
     try:
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
     except (KeyError, ValueError) as err:
         raise TrainError(f"checkpoint {path} has no readable 'meta' record") from err
+    if not isinstance(meta, dict):
+        raise TrainError(f"checkpoint {path} meta must be a JSON object")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise TrainError(f"unsupported checkpoint version {meta.get('version')}")
-    spec = spec_from_dict(meta["spec"])
-    net = Network.build(spec, seed=int(meta["seed"]))
+    if "spec" not in meta:
+        raise TrainError(f"checkpoint {path} meta has no 'spec'")
+    try:
+        seed = typed(meta.get("seed"), int, "checkpoint seed")
+    except TypeError as err:
+        raise TrainError(str(err)) from None
+    if seed < 0:
+        raise TrainError(f"checkpoint seed must be >= 0, got {seed}")
+    net = Network.build(spec_from_dict(meta["spec"]), seed=seed)
     targets = {f"p::{name}": p.data for name, p in net.params.items()}
     targets.update((f"s::{name}", arr) for name, arr in net.state.items())
     for key, target in targets.items():

@@ -322,6 +322,14 @@ def _poison(key, value):
     return edit
 
 
+def _meta(edit):
+    """A checkpoint edit that replaces the JSON ``meta`` record by ``edit(meta)``."""
+    def apply(arrays):
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        arrays["meta"] = np.frombuffer(json.dumps(edit(meta)).encode("utf-8"), dtype=np.uint8)
+    return apply
+
+
 def _synth(*flags):
     return ["synth", "--D", "2", "--T", "6", "--n", "4", "--n-test", "2", *flags]
 
@@ -405,12 +413,41 @@ BROKEN_INPUTS = {
         _checkpoint(tmp), data, "--batch", "0")),
     "checkpoint with a NaN weight": (EXIT_VALIDATION, lambda tmp, data: _energy(
         _checkpoint(tmp, edit=_poison("p::L1.w", np.nan)), data)),
+    "checkpoint meta a JSON list": (EXIT_VALIDATION, lambda tmp, data: _energy(
+        _checkpoint(tmp, edit=_meta(lambda m: [m])), data)),
+    "checkpoint meta without spec": (EXIT_VALIDATION, lambda tmp, data: _energy(
+        _checkpoint(tmp, edit=_meta(lambda m: {k: v for k, v in m.items() if k != "spec"})),
+        data)),
+    "checkpoint seed a string": (EXIT_VALIDATION, lambda tmp, data: _energy(
+        _checkpoint(tmp, edit=_meta(lambda m: {**m, "seed": "abc"})), data)),
+    "checkpoint seed negative": (EXIT_VALIDATION, lambda tmp, data: _energy(
+        _checkpoint(tmp, edit=_meta(lambda m: {**m, "seed": -1})), data)),
+    "checkpoint seed a boolean": (EXIT_VALIDATION, lambda tmp, data: _energy(
+        _checkpoint(tmp, edit=_meta(lambda m: {**m, "seed": True})), data)),
     "space file with an unknown field": (EXIT_VALIDATION, lambda tmp, data: _search(
         _space_file(tmp, colour="blue"))),
     "space param_budget NaN": (EXIT_VALIDATION, lambda tmp, data: _search(
         _space_file(tmp, param_budget=math.nan))),
     "space threshold_init NaN": (EXIT_VALIDATION, lambda tmp, data: _search(
         _space_file(tmp, threshold_init=math.nan))),
+    "space depth_range reversed": (EXIT_VALIDATION, lambda tmp, data: _search(
+        _space_file(tmp, depth_range=[5, 3]))),
+    "space width_range reversed": (EXIT_VALIDATION, lambda tmp, data: _search(
+        _space_file(tmp, width_range=[64, 32]))),
+    "space depth_range of one value": (EXIT_VALIDATION, lambda tmp, data: _search(
+        _space_file(tmp, depth_range=[3]))),
+    "space merge_choices empty": (EXIT_VALIDATION, lambda tmp, data: _search(
+        _space_file(tmp, merge_choices=[]))),
+    "space input_shape a number": (EXIT_VALIDATION, lambda tmp, data: _search(
+        _space_file(tmp, input_shape=700))),
+    "space T a fraction": (EXIT_VALIDATION, lambda tmp, data: _search(
+        _space_file(tmp, T=99.5))),
+    "space kind unknown": (EXIT_VALIDATION, lambda tmp, data: _search(
+        _space_file(tmp, kind="foo"))),
+    "space out_units 0": (EXIT_VALIDATION, lambda tmp, data: _search(
+        _space_file(tmp, out_units=0))),
+    "space reset unknown": (EXIT_VALIDATION, lambda tmp, data: _search(
+        _space_file(tmp, reset="none"))),
     "search --probe-batch -1": (EXIT_USAGE, lambda tmp, data: _search(
         _space_file(tmp), "--probe-batch", "-1")),
     "search --probe-batch 1": (EXIT_USAGE, lambda tmp, data: _search(

@@ -1,15 +1,20 @@
-"""The chunked executor against the time-major one, which executor runs
-when, and which gradients a backward pass returns."""
+"""The chunked executor against a plain time-major unroll
+(``step_reference``), the chunk size each pass takes, the operations a taped
+backward-edge graph records, and which gradients a backward pass returns."""
 
 import contextlib
+from collections import Counter
 
 import numpy as np
 import pytest
+from step_reference import run_steps
 
-from tempospike import graph
+from tempospike import graph, trainer
+from tempospike.data import Dataset
 from tempospike.engine import SurrogateConfig, Tape, Tensor, mse
-from tempospike.graph import ArchSpec, LayerSpec, Network, TSkip, run_forward, validate
-from tempospike.trainer import readout_logits
+from tempospike.graph import (ArchSpec, LayerSpec, Network, TSkip, from_shorthand, run_forward,
+                              validate)
+from tempospike.trainer import TrainConfig, readout_logits
 
 SURR = SurrogateConfig(2.0)
 # Batched and per-step matrix products may round differently (up to ~6e-14
@@ -78,11 +83,11 @@ def _traced(execute, net, x, target, training):
     with Tape() as tape:
         result = execute(net, x, layers, training)
         loss = mse(readout_logits(result.outputs), target)
-    return result, layers, tape.backward(loss)
+    return result, layers, tape.backward(loss), tape.grad_norm
 
 
 def _time_major(net, x, collect, training):
-    return graph._run_time_major(net, x, training, "hard", SURR, 0.0, None, collect)
+    return run_steps(net, x, mode="train" if training else "eval", surr=SURR, collect=collect)
 
 
 def _chunked(net, x, collect, training):
@@ -112,8 +117,8 @@ def test_layer_major_matches_time_major():
         # one network per executor: train mode updates the BNTT statistics
         ref_net, net = Network.build(spec, seed=trial), Network.build(spec, seed=trial)
         for training in (False, True):
-            ref, ref_layers, ref_grads = _traced(_time_major, ref_net, x, target, training)
-            got, got_layers, got_grads = _traced(_chunked, net, x, target, training)
+            ref, ref_layers, ref_grads, _ = _traced(_time_major, ref_net, x, target, training)
+            got, got_layers, got_grads, _ = _traced(_chunked, net, x, target, training)
             tag = f"trial {trial} ({'train' if training else 'eval'})"
             assert got.stats == ref.stats, tag
             for l, layer in enumerate(spec.layers, start=1):
@@ -143,7 +148,7 @@ def test_conv_readout_sequence_matches():
                     tskips=(TSkip(0, 2, 1, merge="concat"),), T=4)
     net = Network.build(spec, seed=1)
     x = (np.random.default_rng(3).random((4, 2, 2, 4, 4)) < 0.5).astype(np.float64)
-    ref = graph._run_time_major(net, x, False, "hard", SURR, 0.0, None, None)
+    ref = run_steps(net, x, surr=SURR)
     got = run_forward(net, x, surr=SURR)
     assert got.outputs.shape == (4, 2, 2, 4, 4)
     assert _close(got.outputs.data, ref.outputs.data)
@@ -173,8 +178,8 @@ def test_tape_free_chunks_match_time_major():
         for training in (False, True):
             ref_layers = {l: None for l in range(1, spec.depth + 1)}
             got_layers = dict(ref_layers)
-            ref = graph._run_time_major(ref_net, x, training, "hard", SURR, 0.0, None,
-                                        ref_layers)
+            ref = run_steps(ref_net, x, mode="train" if training else "eval", surr=SURR,
+                            collect=ref_layers)
             got = run_forward(net, x, mode="train" if training else "eval", surr=SURR,
                               collect=got_layers)
             tag = f"trial {trial} ({'train' if training else 'eval'}, {steps} steps)"
@@ -191,28 +196,108 @@ def test_tape_free_chunks_match_time_major():
     assert all(n >= 3 for n in seen.values()), seen
 
 
-def test_executor_is_chosen_by_edge_direction(monkeypatch):
-    calls = []
-    for name in ("_run_chunked", "_run_time_major"):
-        original = getattr(graph, name)
-        monkeypatch.setattr(graph, name, lambda *a, _o=original, _n=name, **k:
-                            calls.append(_n) or _o(*a, **k))
-    x = np.zeros((4, 2, 5))
-    for edges in ((), (TSkip(0, 2, 1),), (TSkip(2, 1, 1),)):
-        spec = ArchSpec(input_shape=(5,), layers=(LayerSpec("dense", 4),
-                                                  LayerSpec("dense", 3, activation="li")),
-                        tskips=edges, T=4)
-        net = Network.build(spec, seed=0)
-        run_forward(net, x)
-        with Tape():
-            run_forward(net, x, mode="train")
-    assert calls == ["_run_chunked"] * 5 + ["_run_time_major"]
+def test_taped_backward_edges_match_time_major_exactly():
+    # one-step chunks record the reference's operations in its order, so
+    # outputs, gradients and the whole-sweep norm agree to the bit
+    rng = np.random.default_rng(31)
+    seen = {k: 0 for k in ("conv_back", "bntt", "blend", "concat", "add", "spikes")}
+    for trial in range(16):
+        spec = random_spec(rng, backward=True)
+        back = [e for e in spec.tskips if not e.is_forward]
+        seen["bntt"] += spec.bntt
+        seen["blend"] += any(e.alpha for e in back)
+        seen["conv_back"] += any(spec.layers[e.dest - 1].kind == "conv2d" for e in back)
+        for e in spec.tskips:
+            seen[e.merge] += 1
+        x = (rng.random((spec.T, 3) + spec.input_shape) < 0.5).astype(np.float64)
+        target = Tensor(rng.normal(size=(3, 3)))
+        ref_net, net = Network.build(spec, seed=trial), Network.build(spec, seed=trial)
+        ref, ref_layers, ref_grads, ref_norm = _traced(_time_major, ref_net, x, target, True)
+        got, got_layers, got_grads, norm = _traced(_chunked, net, x, target, True)
+        tag = f"trial {trial}"
+        assert got.stats == ref.stats, tag
+        for l in got_layers:
+            assert np.array_equal(got_layers[l], ref_layers[l]), f"{tag}: L{l}"
+        seen["spikes"] += int(any(got_layers[l].any() for l, layer in
+                                  enumerate(spec.layers, start=1) if layer.activation == "lif"))
+        assert np.array_equal(got.outputs.data, ref.outputs.data), tag
+        for name, p in net.params.items():
+            assert np.array_equal(got_grads[p], ref_grads[ref_net.params[name]]), \
+                f"{tag}: {name}"
+        assert norm == ref_norm, tag
+    assert all(n >= 3 for n in seen.values()), seen
+
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("tskips, tape_free, under_tape", [
+    ((), [6], [6]),
+    ((TSkip(0, 2, 1),), [6], [6]),
+    ((TSkip(3, 1, 4), TSkip(2, 1, 5)), [4, 2], [1] * 6),
+    ((TSkip(3, 2, 2, alpha=True),), [1] * 6, [1] * 6),
+], ids=["no edge", "forward edge", "backward edges", "blended backward edge"])
+def test_chunk_size_is_one_under_a_tape_with_a_backward_edge(monkeypatch, taped, tskips,
+                                                             tape_free, under_tape):
+    # tape-free, the spec sets C; under a tape, a backward edge makes it 1
+    lengths = []
+    original = graph._layer_sequence
+
+    def layer_sequence(net, l, seqs, history, zeros, s, e, *rest):
+        if l == 1:
+            lengths.append(e - s)
+        return original(net, l, seqs, history, zeros, s, e, *rest)
+
+    monkeypatch.setattr(graph, "_layer_sequence", layer_sequence)
+    spec = ArchSpec(input_shape=(5,), layers=(LayerSpec("dense", 4), LayerSpec("dense", 4),
+                                              LayerSpec("dense", 3, activation="li")),
+                    tskips=tskips, T=6)
+    with Tape() if taped else contextlib.nullcontext():
+        run_forward(Network.build(spec, seed=0), np.zeros((6, 2, 5)), mode="train")
+    assert lengths == (under_tape if taped else tape_free)
+
+
+def test_taped_backward_edge_records_one_lif_step_per_layer_and_step(monkeypatch):
+    # what ``Tape.grad_norm``, and so gradient clipping, sums over: a conv
+    # graph with a backward edge, BNTT and dropout records lif_update,
+    # normalized_drive and spike once per LIF layer and step, never a
+    # lif_scan, and trains to the reference's losses bit for bit
+    spec = from_shorthand("2x6x6-3c4s2-3c4s1-3c4s1-3", T=6,
+                          tskips=[TSkip(origin=3, dest=2, delta_t=2)], bntt=True, reset="hard")
+    rng = np.random.default_rng(8)
+    ds = Dataset((rng.random((12, 6, 2, 6, 6)) < 0.3).astype(np.float64),
+                 rng.integers(0, 3, size=12))
+    cfg = TrainConfig(epochs=2, batch_size=4, lr_init=1e-2, dropout=0.2, bntt=True,
+                      loss="cross_entropy", seed=5)
+    with Tape() as tape:
+        run_forward(Network.build(spec, seed=0), np.moveaxis(ds.inputs[:4], 1, 0),
+                    mode="train", dropout=0.2, rng=np.random.default_rng(0))
+    kinds = Counter(node.backward.__qualname__.split(".")[0] for node in tape.nodes)
+    assert kinds["lif_update"] == kinds["normalized_drive"] == kinds["spike"] == 3 * 6
+    assert "lif_scan" not in kinds
+
+    def step_losses(forward):
+        losses = []
+        original = trainer.loss
+
+        def loss(*args):
+            out = original(*args)
+            losses.append(out.item())
+            return out
+
+        monkeypatch.setattr(trainer, "run_forward", forward)
+        monkeypatch.setattr(trainer, "loss", loss)
+        trainer.train(spec, ds, cfg)
+        monkeypatch.undo()
+        return losses
+
+    got, ref = step_losses(run_forward), step_losses(run_steps)
+    assert len(got) == 6 and len(set(got)) == 6
+    assert got == ref
 
 
 @pytest.mark.parametrize("taped", [False, True])
 @pytest.mark.parametrize("tskips", [(), (TSkip(0, 2, 1),), (TSkip(2, 1, 1),), (TSkip(3, 1, 2),)])
 def test_collect_hands_back_the_input_for_layer_0(tskips, taped):
-    # one chunk, several chunks, and time-major under a tape
+    # one chunk, several chunks, and one-step chunks under a tape
     spec = ArchSpec(input_shape=(5,), layers=(LayerSpec("dense", 4), LayerSpec("dense", 4),
                                               LayerSpec("dense", 3, activation="li")),
                     tskips=tskips, T=6)
@@ -228,12 +313,12 @@ def test_collect_hands_back_the_input_for_layer_0(tskips, taped):
                          ids=["chunked", "time-major"])
 @pytest.mark.parametrize("layer", [-1, 4, 7])
 def test_collect_outside_the_layers_is_rejected(monkeypatch, taped, tskips, layer):
-    # the chunked executor, and the time-major one under a tape with a back edge
+    # tape-free, and under a tape with a back edge, which runs time-major
+    # in one-step chunks
     def never(*args):
-        raise AssertionError("an executor ran")
+        raise AssertionError("the executor ran")
 
     monkeypatch.setattr(graph, "_run_chunked", never)
-    monkeypatch.setattr(graph, "_run_time_major", never)
     net = Network.build(graph.mlp_spec([4, 6, 5, 3], T=3, tskips=tskips), seed=0)
     collect = {1: None, layer: None}
     with Tape() if taped else contextlib.nullcontext():

@@ -4,7 +4,6 @@ import pytest
 from tempospike.engine import SurrogateConfig, Tensor
 from tempospike.graph import (
     ArchSpec,
-    DelayBuffer,
     GraphError,
     LayerSpec,
     Network,
@@ -191,34 +190,6 @@ class TestShortcut:
         ws = ShortcutMatrix.build(4, 2, seed=0)
         with pytest.raises(GraphError):
             shortcut_apply(ws, Tensor(np.zeros((1, 5))))
-
-
-class TestDelayBuffer:
-    def test_reads_back_exact_tensor(self):
-        buf = DelayBuffer(3, (1, 2))
-        writes = [Tensor(np.full((1, 2), float(t))) for t in range(5)]
-        for t, w in enumerate(writes):
-            buf.write(t, w)
-            if t >= 2:
-                assert buf.read(t - 2) is writes[t - 2]
-
-    def test_pre_sequence_reads_zeros(self):
-        buf = DelayBuffer(2, (1, 3))
-        assert not buf.read(-1).data.any()
-        assert not buf.read(-5).data.any()
-
-    def test_future_read_is_error(self):
-        buf = DelayBuffer(2, (1, 3))
-        buf.write(0, Tensor(np.ones((1, 3))))
-        with pytest.raises(GraphError, match="future"):
-            buf.read(1)
-
-    def test_expired_read_is_error(self):
-        buf = DelayBuffer(2, (1,))
-        for t in range(4):
-            buf.write(t, Tensor(np.zeros((1,))))
-        with pytest.raises(GraphError, match="expired"):
-            buf.read(1)
 
 
 class TestRunForward:

@@ -67,7 +67,25 @@ class TestSample:
             tiny_space(delta_t_range=(1, 6))  # T=6 allows at most 5
 
     @pytest.mark.parametrize("field, value", [
+        ("depth_range", (5, 3)), ("width_range", (64, 32)), ("depth_range", (3,)),
+        ("tskip_count_range", (-1, 1)), ("delta_t_range", (1.5, 2)),
+        ("merge_choices", ()), ("merge_choices", ("sum",)), ("kernel_choices", ()),
+        ("stride_choices", (0,)), ("input_shape", 700), ("input_shape", (8, 0)),
+        ("T", 99.5), ("T", True), ("kind", "foo"), ("out_units", 0), ("reset", "none"),
+        ("alpha", "yes"),
+    ])
+    def test_malformed_field_is_named(self, field, value):
+        # each is refused when the space is built, not after 1000 draws
+        with pytest.raises(SearchError, match="^" + field.replace("_range", "")):
+            tiny_space(**{field: value})
+
+    def test_conv_space_needs_a_map_input(self):
+        with pytest.raises(SearchError, match="^input_shape"):
+            tiny_space(kind="conv2d")
+
+    @pytest.mark.parametrize("field, value", [
         ("param_budget", math.nan), ("param_budget", math.inf), ("param_budget", 0),
+        ("param_budget", True),
         ("leak_init", math.nan), ("leak_init", 1.5),
         ("threshold_init", math.nan), ("threshold_init", 0.005),
     ])
