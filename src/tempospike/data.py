@@ -325,6 +325,8 @@ def load_dataset(manifest_path) -> Dataset:
             raise DataError(f"unsupported dataset format {manifest.get('format')!r}")
         T = typed(manifest["T"], int, "T")
         units = typed(manifest["num_units"], int, "num_units")
+        if units < 1:
+            raise DataError(f"num_units must be >= 1, got {units}")
         window = typed(manifest.get("window_us", T), float, "window_us")
         cfg = BinningConfig(T=T, window=window)
         samples = manifest["samples"]

@@ -210,84 +210,69 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     return record((x, kernel, bias), out, back)
 
 
-def _batch_norm(x: Array, gamma: Array, beta: Array, running_mean: Array,
-                running_var: Array, training: bool, momentum: float, eps: float):
-    """Normalize one timestep's slice; returns the output and its backward,
-    which keeps the slice's mean and inverse deviation and rebuilds x-hat."""
-    axes = (0,) if x.ndim == 2 else (0, 2, 3)
-    shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
-    if training:
-        if x.shape[0] < 2:
-            raise EngineError("batch normalization in training mode needs batch size >= 2")
-        mu = x.mean(axis=axes)
-        var = x.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    else:
-        # a copy: a later in-place update of the running row must not move
-        # the x-hat a pending backward pass rebuilds
-        mu = running_mean.copy()
-        var = running_var
+def bntt_seq(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Array,
+             running_var: Array, start: int, stop: int, training: bool,
+             momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+    """Batch normalization with statistics and affine parameters owned by each
+    timestep, over steps [start, stop) as one node.
 
-    ivar = 1.0 / np.sqrt(var + eps)
+    ``x`` holds one block of rows per step, [steps * batch, C(, H, W)]; block
+    t is normalized with its own statistics and with row ``start + t`` of the
+    [T, C] ``gamma``, ``beta`` and running buffers, the latter updated in place
+    in training. The gradients of ``gamma`` and ``beta`` are [T, C] arrays that
+    are zero outside rows [start, stop). The backward pass keeps the steps'
+    means and inverse deviations and rebuilds x-hat.
+    """
+    steps = stop - start
+    xs = x.data.reshape((steps, -1) + x.shape[1:])
+    if training and xs.shape[1] < 2:
+        raise EngineError("batch normalization in training mode needs batch size >= 2")
+    # per step: reduce over the batch and spatial axes, broadcast per channel
+    axes = (1,) + tuple(range(3, xs.ndim))
+    shape = (steps, 1, -1) + (1,) * (xs.ndim - 3)
+    rows = slice(start, stop)
+    if training:
+        mu = xs.mean(axis=axes)
+        var = xs.var(axis=axes)
+        running_mean[rows] *= 1.0 - momentum
+        running_mean[rows] += momentum * mu
+        running_var[rows] *= 1.0 - momentum
+        running_var[rows] += momentum * var
+    else:
+        # a copy: a later in-place update of the running rows must not move
+        # the x-hat a pending backward pass rebuilds
+        mu = running_mean[rows].copy()
+        var = running_var[rows]
+    ivar = (1.0 / np.sqrt(var + eps)).reshape(shape)
+    mu = mu.reshape(shape)
+    g_rows = gamma.data[rows].reshape(shape)
 
     def normalized() -> Array:
-        xhat = x - mu.reshape(shape)
-        xhat *= ivar.reshape(shape)
+        xhat = xs - mu
+        xhat *= ivar
         return xhat
 
-    out = gamma.reshape(shape) * normalized() + beta.reshape(shape)
-    m = x.size // gamma.size
+    out = g_rows * normalized() + beta.data[rows].reshape(shape)
+    m = xs[0].size // gamma.shape[1]
 
     def back(g):
+        gs = g.reshape(xs.shape)
         xhat = normalized()
-        gbeta = g.sum(axis=axes)
-        ggamma = (g * xhat).sum(axis=axes)
-        dxhat = g * gamma.reshape(shape)
+        ggamma, gbeta = np.zeros(gamma.shape), np.zeros(beta.shape)
+        gbeta[rows] = gs.sum(axis=axes)
+        ggamma[rows] = (gs * xhat).sum(axis=axes)
+        dxhat = gs * g_rows
         if training:
-            gx = (ivar.reshape(shape) / m) * (
+            gx = (ivar / m) * (
                 m * dxhat
                 - dxhat.sum(axis=axes).reshape(shape)
                 - xhat * (dxhat * xhat).sum(axis=axes).reshape(shape)
             )
         else:
-            gx = dxhat * ivar.reshape(shape)
-        return gx, ggamma, gbeta
+            gx = dxhat * ivar
+        return gx.reshape(x.shape), ggamma, gbeta
 
-    return out, back
-
-
-def bntt_seq(x: Tensor, gammas: list[Tensor], betas: list[Tensor], running_mean: Array,
-             running_var: Array, training: bool, momentum: float = 0.1,
-             eps: float = 1e-5) -> Tensor:
-    """Batch normalization with statistics and affine parameters owned by each
-    timestep, over ``len(gammas)`` consecutive steps as one node.
-
-    ``x`` holds one block of rows per step, [steps * batch, ...]; block t is
-    normalized with its own statistics, ``gammas[t]``, ``betas[t]`` and row t
-    of the [steps, channels] running buffers, updated in place in training.
-    """
-    xs = x.data.reshape((len(gammas), -1) + x.shape[1:])
-    out = np.empty_like(xs)
-    backs = []
-    for t, (gamma, beta) in enumerate(zip(gammas, betas)):
-        out[t], slice_back = _batch_norm(xs[t], gamma.data, beta.data, running_mean[t],
-                                         running_var[t], training, momentum, eps)
-        backs.append(slice_back)
-
-    def back(g):
-        gs = g.reshape(xs.shape)
-        gx = np.empty_like(xs)
-        ggammas, gbetas = [], []
-        for t, slice_back in enumerate(backs):
-            gx[t], ggamma, gbeta = slice_back(gs[t])
-            ggammas.append(ggamma)
-            gbetas.append(gbeta)
-        return (gx.reshape(x.shape), *ggammas, *gbetas)
-
-    return record((x, *gammas, *betas), out.reshape(x.shape), back)
+    return record((x, gamma, beta), out.reshape(x.shape), back)
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -283,10 +283,9 @@ def param_table(spec: ArchSpec) -> list[ParamSpec]:
         if layer.activation == "lif":
             table.append(ParamSpec(f"L{i}.threshold", (), spec.threshold_init))
             if spec.bntt:
-                for t in range(spec.T):
-                    table += [ParamSpec(f"L{i}.bntt_g{t}", (layer.out,), 1.0),
-                              ParamSpec(f"L{i}.bntt_b{t}", (layer.out,), 0.0)]
-                table += [ParamSpec(f"L{i}.bntt_mean", (spec.T, layer.out), 0.0, False),
+                table += [ParamSpec(f"L{i}.bntt_gamma", (spec.T, layer.out), 1.0),
+                          ParamSpec(f"L{i}.bntt_beta", (spec.T, layer.out), 0.0),
+                          ParamSpec(f"L{i}.bntt_mean", (spec.T, layer.out), 0.0, False),
                           ParamSpec(f"L{i}.bntt_var", (spec.T, layer.out), 1.0, False)]
     table += [ParamSpec(f"E{j}.alpha_raw", (), e.alpha_init)
               for j, e in enumerate(spec.tskips) if e.alpha]
@@ -531,11 +530,9 @@ def _drive(net: Network, l: int, merged: Tensor, dropout: float,
 def _bntt(net: Network, l: int, drive: Tensor, start: int, stop: int,
           training: bool) -> Tensor:
     """Layer ``l``'s per-timestep normalization of steps [start, stop)."""
-    steps = range(start, stop)
-    return bntt_seq(drive, [net.params[f"L{l}.bntt_g{t}"] for t in steps],
-                    [net.params[f"L{l}.bntt_b{t}"] for t in steps],
-                    net.state[f"L{l}.bntt_mean"][start:stop],
-                    net.state[f"L{l}.bntt_var"][start:stop], training)
+    return bntt_seq(drive, net.params[f"L{l}.bntt_gamma"], net.params[f"L{l}.bntt_beta"],
+                    net.state[f"L{l}.bntt_mean"], net.state[f"L{l}.bntt_var"], start, stop,
+                    training)
 
 
 def _run_chunked(net: Network, x: np.ndarray, training: bool, spike_mode: str,

@@ -87,12 +87,17 @@ def lif_step(state: LifState, weighted_input: Tensor, params: LifParams,
     return spikes, LifState(membrane=membrane, prev_spikes=spikes)
 
 
+def clamp_leak(leak: Tensor) -> None:
+    """Pull a leak back inside [LEAK_MIN, LEAK_MAX] in place."""
+    np.clip(leak.data, LEAK_MIN, LEAK_MAX, out=leak.data)
+
+
 def clamp_params(params: LifParams) -> LifParams:
     """Pull leak and threshold back inside their valid ranges in place.
 
     Gradient updates can push the leak past 1 or the threshold below zero,
     where the dynamics stop being meaningful.
     """
-    np.clip(params.leak.data, LEAK_MIN, LEAK_MAX, out=params.leak.data)
+    clamp_leak(params.leak)
     np.clip(params.threshold.data, THRESHOLD_MIN, None, out=params.threshold.data)
     return params

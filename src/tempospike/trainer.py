@@ -36,7 +36,7 @@ from .graph import (
     typed,
     validate,
 )
-from .neuron import LEAK_MAX, LEAK_MIN, clamp_params
+from .neuron import clamp_leak, clamp_params
 from .data import Dataset
 
 
@@ -184,6 +184,10 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.lr_init < math.inf:
             raise ConfigError(f"lr_init must be finite and positive, got {self.lr_init}")
+        if not 0.0 <= self.lr_min < math.inf:
+            raise ConfigError(f"lr_min must be finite and >= 0, got {self.lr_min}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ConfigError(f"gamma must be finite and positive, got {self.gamma}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not self.grad_clip >= 0.0:  # 0 turns clipping off
@@ -231,15 +235,14 @@ def _check_labels(ds: Dataset, spec: ArchSpec) -> None:
                          f"[{ds.labels.min()}, {ds.labels.max()}]")
 
 
-def evaluate(net: Network, ds: Dataset, cfg: TrainConfig,
-             batch_size: int | None = None) -> tuple[float, float, SpikeStats]:
-    """Loss, accuracy, and aggregated spike statistics on a dataset."""
+def evaluate(net: Network, ds: Dataset, cfg: TrainConfig) -> tuple[float, float, SpikeStats]:
+    """Loss, accuracy, and aggregated spike statistics on a dataset, in
+    batches of ``cfg.batch_size``."""
     _check_labels(ds, net.spec)
-    batch_size = batch_size or cfg.batch_size
     total_loss = 0.0
     hits = 0
     agg = SpikeStats()
-    for idx in _batches(len(ds), batch_size, rng=None):
+    for idx in _batches(len(ds), cfg.batch_size, rng=None):
         xb = np.transpose(ds.inputs[idx], (1, 0) + tuple(range(2, ds.inputs.ndim)))
         yb = ds.labels[idx]
         result = run_forward(net, xb, mode="eval")
@@ -319,8 +322,7 @@ def train(spec: ArchSpec, train_ds: Dataset, cfg: TrainConfig,
                     if layer.activation == "lif":
                         clamp_params(net.lif_params(i))
                     elif layer.activation == "li":
-                        np.clip(net.params[f"L{i}.leak"].data, LEAK_MIN, LEAK_MAX,
-                                out=net.params[f"L{i}.leak"].data)
+                        clamp_leak(net.params[f"L{i}.leak"])
                 epoch_loss += batch_loss.item() * len(idx)
                 epoch_hits += int((logits.data.argmax(axis=1) == yb).sum())
                 epoch_stats.accumulate(result.stats)

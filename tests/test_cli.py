@@ -376,6 +376,9 @@ BROKEN_INPUTS = {
         _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(num_units=4.0)))),
     "manifest num_units 10**13": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(num_units=10**13)))),
+    "manifest num_units -1 without samples": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train",
+                                        lambda m: m.update(num_units=-1, samples=[])))),
     "manifest T 10**13": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(T=10**13)))),
     "manifest window_us a string": (EXIT_VALIDATION, lambda tmp, data: _train(
@@ -403,6 +406,12 @@ BROKEN_INPUTS = {
         _spec_file(tmp), data / "train", "--epochs", "0")),
     "train --every 0": (EXIT_USAGE, lambda tmp, data: _train(
         _spec_file(tmp), data / "train", "--every", "0")),
+    "train --lr-min nan": (EXIT_USAGE, lambda tmp, data: _train(
+        _spec_file(tmp), data / "train", "--lr-min", "nan")),
+    "train --lr-min -5": (EXIT_USAGE, lambda tmp, data: _train(
+        _spec_file(tmp), data / "train", "--lr-min", "-5")),
+    "train --gamma inf": (EXIT_USAGE, lambda tmp, data: _train(
+        _spec_file(tmp), data / "train", "--scheduler", "multistep", "--gamma", "inf")),
     "train --lr 1e160 with cross-entropy": (EXIT_DIVERGENCE, lambda tmp, data: _train(
         _spec_file(tmp), data / "train", "--epochs", "3", "--batch", "40", "--lr", "1e160")),
     "ablate --lr 0": (EXIT_USAGE, lambda tmp, data: _ablate(tmp, data, "--lr", "0")),
@@ -527,6 +536,20 @@ class TestCheckpointInput:
         code = main(["energy", "--checkpoint", str(ckpt), "--data", str(tiny_data / "test"),
                      "--out", str(tmp_path / "e")])
         assert code == EXIT_VALIDATION
+
+    def test_per_step_bntt_checkpoint_names_the_missing_array(self, tmp_path, tiny_data,
+                                                             capsys):
+        # the layout before BNTT scale and shift became one [T, C] array each
+        def per_step_rows(arrays):
+            for name, key in (("gamma", "g"), ("beta", "b")):
+                for t, row in enumerate(arrays.pop(f"p::L1.bntt_{name}")):
+                    arrays[f"p::L1.bntt_{key}{t}"] = row
+
+        ckpt = _checkpoint(tmp_path, mlp_spec([4, 8, 3], T=6, bntt=True), per_step_rows)
+        code = main(["energy", "--checkpoint", str(ckpt), "--data", str(tiny_data / "test"),
+                     "--out", str(tmp_path / "e")])
+        assert code == EXIT_VALIDATION
+        assert "'p::L1.bntt_gamma'" in capsys.readouterr().err
 
     def test_selection_mismatch_rejected(self, tmp_path):
         spec = mlp_spec([4, 8, 6, 3], T=6, tskips=[TSkip(0, 2, 1)])

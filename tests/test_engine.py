@@ -361,39 +361,40 @@ class TestSelectChannels:
 class TestBntt:
     def test_zero_variance_gives_beta(self):
         x = Tensor(np.full((4, 3), 7.0))
-        gamma = Tensor(np.ones(3))
-        beta = Tensor(np.array([1.0, -2.0, 0.5]))
-        out = bntt_seq(x, [gamma], [beta], np.zeros((1, 3)), np.ones((1, 3)), training=True)
-        assert np.allclose(out.data, beta.data[None, :])
+        gamma = Tensor(np.ones((1, 3)))
+        beta = Tensor(np.array([[1.0, -2.0, 0.5]]))
+        out = bntt_seq(x, gamma, beta, np.zeros((1, 3)), np.ones((1, 3)), 0, 1, training=True)
+        assert np.allclose(out.data, beta.data)
 
     def test_identity_on_standardized_batch(self):
         rng = np.random.default_rng(9)
         raw = rng.normal(size=(200, 4))
         raw = (raw - raw.mean(axis=0)) / raw.std(axis=0)
-        out = bntt_seq(Tensor(raw), [Tensor(np.ones(4))], [Tensor(np.zeros(4))],
-                       np.zeros((1, 4)), np.ones((1, 4)), training=True)
+        out = bntt_seq(Tensor(raw), Tensor(np.ones((1, 4))), Tensor(np.zeros((1, 4))),
+                       np.zeros((1, 4)), np.ones((1, 4)), 0, 1, training=True)
         assert np.allclose(out.data, raw, atol=1e-4)
 
     def test_batch_of_one_raises(self):
         with pytest.raises(Exception, match="batch"):
-            bntt_seq(Tensor(np.zeros((1, 3))), [Tensor(np.ones(3))], [Tensor(np.zeros(3))],
-                     np.zeros((1, 3)), np.ones((1, 3)), training=True)
+            bntt_seq(Tensor(np.zeros((1, 3))), Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 3))),
+                     np.zeros((1, 3)), np.ones((1, 3)), 0, 1, training=True)
 
     def test_inference_uses_running_stats(self):
         x = Tensor(np.array([[2.0, 4.0]]))
-        out = bntt_seq(x, [Tensor(np.ones(2))], [Tensor(np.zeros(2))],
-                       np.array([[1.0, 1.0]]), np.array([[4.0, 4.0]]),
+        out = bntt_seq(x, Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2))),
+                       np.array([[1.0, 1.0]]), np.array([[4.0, 4.0]]), 0, 1,
                        training=False, eps=0.0)
         assert np.allclose(out.data, [[0.5, 1.5]])
 
     def test_gradients_vs_finite_differences(self):
+        # steps 1 and 2 of 3: row 0 of gamma and beta has a zero gradient
         rng = np.random.default_rng(21)
-        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True, name="x")
-        gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True, name="g")
-        beta = Tensor(rng.normal(size=3), requires_grad=True, name="b")
+        x = Tensor(rng.normal(size=(10, 3)), requires_grad=True, name="x")
+        gamma = Tensor(rng.uniform(0.5, 1.5, (3, 3)), requires_grad=True, name="g")
+        beta = Tensor(rng.normal(size=(3, 3)), requires_grad=True, name="b")
 
         def build():
-            return square(bntt_seq(x, [gamma], [beta], np.zeros((1, 3)), np.ones((1, 3)),
+            return square(bntt_seq(x, gamma, beta, np.zeros((3, 3)), np.ones((3, 3)), 1, 3,
                                    training=True)).sum()
 
         check_grads(build, [x, gamma, beta], tol=1e-4)
@@ -403,27 +404,57 @@ class TestBntt:
         steps, c = 4, 8
         rng = np.random.default_rng(22)
         x = Tensor(rng.normal(size=(steps * 16, c, 8, 8)), requires_grad=True)
-        gammas = [Tensor(np.ones(c), requires_grad=True) for _ in range(steps)]
-        betas = [Tensor(np.zeros(c), requires_grad=True) for _ in range(steps)]
+        gamma = Tensor(np.ones((steps, c)), requires_grad=True)
+        beta = Tensor(np.zeros((steps, c)), requires_grad=True)
         mean, var = np.zeros((steps, c)), np.ones((steps, c))
-        out, grown = tape_growth(lambda: bntt_seq(x, gammas, betas, mean, var, training=True))
+        out, grown = tape_growth(lambda: bntt_seq(x, gamma, beta, mean, var, 0, steps,
+                                                  training=True))
         assert grown <= out.data.nbytes + TAPE_SLACK, (grown, out.data.nbytes)
 
     def test_inference_backward_ignores_later_running_updates(self):
         rng = np.random.default_rng(23)
         x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-        gamma, beta = Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+        gamma = Tensor(np.ones((1, 3)), requires_grad=True)
+        beta = Tensor(np.zeros((1, 3)), requires_grad=True)
         mean, var = rng.normal(size=(1, 3)), np.full((1, 3), 2.0)
         g = rng.normal(size=x.shape)
         grads = []
         for shift in (0.0, 1.0):
             run_mean = mean.copy()
             with Tape() as tape:
-                loss = (bntt_seq(x, [gamma], [beta], run_mean, var, training=False)
+                loss = (bntt_seq(x, gamma, beta, run_mean, var, 0, 1, training=False)
                         * Tensor(g)).sum()
             run_mean += shift
             grads.append(tape.backward(loss))
         assert all(np.array_equal(grads[0][t], grads[1][t]) for t in (x, gamma, beta))
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("tail", [(5,), (3, 4, 4)], ids=["dense", "conv"])
+    def test_one_call_equals_one_step_calls(self, training, tail):
+        # steps [1, 5) of 6 as one call and as four one-step calls: the
+        # outputs, the running rows and every gradient agree bit for bit
+        T, start, stop, batch = 6, 1, 5, 4
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=((stop - start) * batch,) + tail) * 3.0 + 1.0
+        weights = rng.normal(size=x.shape)
+        params = (rng.uniform(0.5, 1.5, (T, tail[0])), rng.normal(size=(T, tail[0])))
+        stats = (rng.normal(size=(T, tail[0])), rng.uniform(0.5, 2.0, (T, tail[0])))
+        runs = []
+        for chunks in ([(start, stop)], [(t, t + 1) for t in range(start, stop)]):
+            gamma, beta = (Tensor(a, requires_grad=True) for a in params)
+            mean, var = (a.copy() for a in stats)
+            rows = [slice((s - start) * batch, (e - start) * batch) for s, e in chunks]
+            xs = [Tensor(x[r], requires_grad=True) for r in rows]
+            with Tape() as tape:
+                outs = [bntt_seq(xk, gamma, beta, mean, var, s, e, training)
+                        for xk, (s, e) in zip(xs, chunks)]
+                loss = sum((o * Tensor(weights[r])).sum() for o, r in zip(outs, rows))
+            grads = tape.backward(loss)
+            runs.append([np.concatenate([o.data for o in outs]), mean, var,
+                         np.concatenate([grads[xk] for xk in xs]), grads[gamma], grads[beta]])
+        for whole, steps in zip(*runs):
+            assert np.array_equal(whole, steps)
+        assert not runs[0][4][[0, T - 1]].any() and not runs[0][5][[0, T - 1]].any()
 
 
 class TestBackward:

@@ -187,7 +187,8 @@ class TestTrainLoop:
         spec = mlp_spec([4, 8, 4], T=3)
         cfg = TrainConfig(epochs=1, batch_size=8, seed=2, bntt=True)
         net, _ = train(spec, ds, cfg)
-        assert "L1.bntt_g0" in net.params
+        assert net.params["L1.bntt_gamma"].shape == net.params["L1.bntt_beta"].shape == (3, 8)
+        assert "L1.bntt_g0" not in net.params
         assert net.spec.bntt
 
     @pytest.mark.parametrize("kind", ["mse", "cross_entropy"])
@@ -218,6 +219,8 @@ class TestTrainLoop:
         ("lr_init", math.nan), ("lr_init", math.inf), ("dropout", 1.5),
         ("grad_clip", math.nan), ("grad_clip", -1.0), ("surrogate_alpha", math.nan),
         ("surrogate_alpha", -2.0), ("surrogate_alpha", 0.0), ("surrogate_alpha", math.inf),
+        ("lr_min", math.nan), ("lr_min", math.inf), ("lr_min", -5.0), ("gamma", math.nan),
+        ("gamma", math.inf), ("gamma", 0.0), ("gamma", -0.7),
     ])
     def test_config_ranges_checked(self, field, value):
         with pytest.raises(ValueError, match=field):
