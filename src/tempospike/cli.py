@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from . import nas
 from .data import DataError, Dataset, gen_delayed_recall, load_dataset, save_dataset
 from .graph import (
+    MAX_DATASET_BYTES,
     ArchSpec,
     GraphError,
     SpecValidationError,
@@ -56,15 +58,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_run_record(out_dir: Path, command: str, args: argparse.Namespace) -> dict:
-    """Write ``run.json`` and return the resolved arguments it holds."""
+def _write_run_record(out_dir: Path, command: str, args: argparse.Namespace,
+                      train_config: dict | None = None) -> None:
+    """Write ``run.json``: the resolved arguments and, for a command that
+    trains, ``train_config``, the ``TrainConfig`` it trains with as a dict."""
     out_dir.mkdir(parents=True, exist_ok=True)
     resolved = {k: (str(v) if isinstance(v, Path) else v) for k, v in vars(args).items()
                 if k != "func"}
     resolved["command"] = command
+    if train_config is not None:
+        resolved["train_config"] = train_config
     (out_dir / "run.json").write_text(json.dumps(resolved, indent=2) + "\n",
                                       encoding="utf-8")
-    return resolved
+
+
+def _refuse_above_bound(what: str, shape: tuple[int, ...]) -> None:
+    """A ``UsageError`` if a float64 array of ``shape`` would take more than
+    ``MAX_DATASET_BYTES``."""
+    size = 8 * math.prod(shape)
+    if size > MAX_DATASET_BYTES:
+        raise UsageError(f"{what} of shape {shape} needs {size} bytes, above the limit of "
+                         f"{MAX_DATASET_BYTES}")
 
 
 def cmd_synth(args) -> int:
@@ -72,6 +86,7 @@ def cmd_synth(args) -> int:
         raise UsageError(f"--D must be smaller than --T (got D={args.D}, T={args.T})")
     if args.n < 1 or args.n_test < 0:
         raise UsageError(f"need --n >= 1 and --n-test >= 0, got {args.n} and {args.n_test}")
+    _refuse_above_bound("dataset", (args.n + args.n_test, args.T, args.classes + 1))
     out = Path(args.out)
     _write_run_record(out, "synth", args)
     data_rng = split_seed(args.seed, "data")
@@ -103,11 +118,12 @@ def cmd_train(args) -> int:
     violations = validate(spec)
     if violations:
         raise SpecValidationError(violations)
-    resolved = _write_run_record(out, "train", args)
+    train_config = asdict(cfg)
+    _write_run_record(out, "train", args, train_config)
     train_ds = load_dataset(args.data)
     val_ds = load_dataset(args.val_data) if args.val_data else None
     net, records = train(spec, train_ds, cfg, val_ds=val_ds, log_path=out / "metrics.csv")
-    save_checkpoint(out / "checkpoint.npz", net, extra={"train_config": resolved})
+    save_checkpoint(out / "checkpoint.npz", net, extra={"train_config": train_config})
     last = records[-1]
     print(f"trained {cfg.epochs} epochs; final {last.split} loss {last.loss:.4f}, "
           f"accuracy {last.accuracy:.4f}")
@@ -132,9 +148,11 @@ def cmd_search(args) -> int:
         space = nas.preset_space(args.preset, **overrides)
     else:
         raise UsageError("search needs --preset or --space")
+    probe_shape = (space.T, args.probe_batch) + space.input_shape
+    _refuse_above_bound("probe", probe_shape)
     _write_run_record(out, "search", args)
     probe_rng = split_seed(args.seed, "probe")
-    probe = (probe_rng.random((space.T, args.probe_batch) + space.input_shape) < 0.1)
+    probe = (probe_rng.random(probe_shape) < 0.1)
     probe = probe.astype(np.float64)
     ranked = nas.random_search(space, args.n, probe, args.k,
                                master_seed=args.seed, parallel=args.parallel)
@@ -180,7 +198,7 @@ def cmd_ablate(args) -> int:
     cfg = _train_config(args)
     out = Path(args.out)
     base_spec = load_spec(args.spec)
-    _write_run_record(out, "ablate", args)
+    _write_run_record(out, "ablate", args, asdict(cfg))
     train_ds = load_dataset(args.data)
     val_ds = load_dataset(args.val_data) if args.val_data else None
     rows = ["axis,value,status,accuracy,loss,spike_rate,energy_mj"]

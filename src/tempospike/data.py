@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from .graph import typed
+from .graph import MAX_DATASET_BYTES, typed
 
 SpikeTensor = np.ndarray  # [time, ...feature dims], values in {0, 1}
 
@@ -308,11 +308,6 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path
-
-
-# The largest dense [samples, T, num_units] float64 tensor a manifest may
-# declare, 8 GiB; a larger one is rejected before any sample is read.
-MAX_DATASET_BYTES = 2**33
 
 
 def load_dataset(manifest_path) -> Dataset:

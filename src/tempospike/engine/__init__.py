@@ -9,7 +9,6 @@ from .ops import (
     concat,
     conv2d,
     cross_entropy,
-    delay,
     dropout,
     li_scan,
     lif_scan,
@@ -24,6 +23,7 @@ from .ops import (
     spike,
     square,
     surrogate_grad,
+    window,
 )
 from .tensor import (
     Array,
@@ -60,7 +60,6 @@ __all__ = [
     "concat",
     "conv2d",
     "cross_entropy",
-    "delay",
     "div",
     "dropout",
     "index",
@@ -86,6 +85,7 @@ __all__ = [
     "sum_all",
     "sum_steps",
     "surrogate_grad",
+    "window",
 ]
 
 

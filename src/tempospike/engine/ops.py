@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -458,20 +459,38 @@ def li_scan(drive: Tensor, leak: Tensor, init: Tensor) -> Tensor:
     return record((drive, leak, init), acc_seq.reshape(drive.shape), back)
 
 
-def delay(x: Tensor, rows: int) -> Tensor:
-    """Shift along the leading axis by ``rows``, zero-filled at the start:
-    out[i] = x[i - rows]. With timestep blocks of ``batch`` rows, a delay of
-    dt steps is a shift by dt * batch rows."""
-    n = x.shape[0]
-    out = np.zeros_like(x.data)
-    out[rows:] = x.data[:n - rows]
+def window(blocks: Sequence[Tensor], start: int, rows: int) -> Tensor:
+    """Rows [start, start + rows) of ``blocks`` laid end to end along the
+    leading axis, with zeros before row 0, so ``start`` may be negative. With
+    timestep blocks of ``batch`` rows, a window of steps [lo, hi) over chunks
+    that begin at step 0 is ``start = lo * batch``, ``rows = (hi - lo) *
+    batch``. A window that is exactly one block is that block itself and adds
+    nothing to a tape; any other is a copy whose backward pass hands each
+    block the gradient of its rows."""
+    lows = [0]
+    for b in blocks:
+        lows.append(lows[-1] + b.shape[0])
+    stop = start + rows
+    if not blocks or stop > lows[-1]:
+        raise ShapeError(f"window rows [{start}, {stop}) pass the end of {lows[-1]} rows")
+    for b, lo in zip(blocks, lows):
+        if (lo, b.shape[0]) == (start, rows):
+            return b
+    # per block, the rows [a, z) of the laid-out blocks that the window covers
+    spans = [(max(start, lo), min(stop, hi)) for lo, hi in zip(lows, lows[1:])]
+    out = np.zeros((rows,) + blocks[0].shape[1:])
+    for b, lo, (a, z) in zip(blocks, lows, spans):
+        if a < z:
+            out[a - start:z - start] = b.data[a - lo:z - lo]
 
     def back(g):
-        gx = np.zeros_like(g)
-        gx[:n - rows] = g[rows:]
-        return (gx,)
+        grads = tuple(np.zeros_like(b.data) for b in blocks)
+        for gb, lo, (a, z) in zip(grads, lows, spans):
+            if a < z:
+                gb[a - lo:z - lo] = g[a - start:z - start]
+        return grads
 
-    return record((x,), out, back)
+    return record(tuple(blocks), out, back)
 
 
 def normalized_drive(membrane: Tensor, threshold: Tensor) -> Tensor:

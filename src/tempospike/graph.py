@@ -6,13 +6,12 @@ set of skip edges. Each edge carries its origin, destination, an explicit
 delay in timesteps, a merge operator (channel concatenation or elementwise
 addition), and an optional learnable blend between the origin's current and
 delayed activations. A sequence runs in chunks of C steps, layer by layer
-within a chunk. C is T for a graph with forward edges only, where a delayed
-payload is the origin's sequence shifted in time. With a backward edge, C is
-its shortest delay (1 with a blend), or 1 while a tape records, so a chunk
-reads a later layer only at steps of earlier chunks; each layer that a payload
-reads keeps its chunk outputs, and neuron state carries from chunk to chunk.
-Steps before the start of the sequence read zeros, which keeps the graph
-causal by construction.
+within a chunk. C is T for a graph with forward edges only. With a backward
+edge, C is its shortest delay (1 with a blend), or 1 while a tape records, so
+a chunk reads a later layer only at steps of earlier chunks. Each layer that a
+payload reads keeps its chunk outputs, a delayed payload is a window of them,
+and neuron state carries from chunk to chunk. Steps before the start of the
+sequence read zeros, which keeps the graph causal by construction.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .engine import (
     bntt_seq,
     concat,
     conv2d,
-    delay,
     dropout as apply_dropout,
     li_scan,
     lif_scan,
@@ -41,6 +39,7 @@ from .engine import (
     select_channels,
     sigmoid,
     stack,
+    window,
 )
 from .neuron import LifParams, LifState, init_violations, lif_step
 
@@ -49,6 +48,11 @@ ACTIVATIONS = ("lif", "relu", "li", "linear")
 MERGE_OPS = ("concat", "add")
 
 _CONV_TOKEN = re.compile(r"^(\d+)c(\d+)s(\d+)$")
+
+# The most bytes that a spec's parameters, a dataset's dense [samples, T,
+# ...] float64 tensor or a search probe may take, 8 GiB; a larger one is
+# refused before it is allocated.
+MAX_DATASET_BYTES = 2**33
 
 
 class GraphError(Exception):
@@ -242,6 +246,9 @@ def validate(spec: ArchSpec) -> list[str]:
                 v.append(f"{tag}: payload has no spatial dims for conv destination")
             elif payload[1:] != ff_in[1:]:
                 v.append(f"{tag}: spatial mismatch {payload[1:]} vs {ff_in[1:]}")
+    size = 8 * sum(math.prod(p.shape) for p in param_table(spec))
+    if size > MAX_DATASET_BYTES:
+        v.append(f"parameters need {size} bytes, above the limit of {MAX_DATASET_BYTES}")
     return v
 
 
@@ -339,7 +346,6 @@ class SpikeStats:
     neurons: dict[int, int] = field(default_factory=dict)
     spikes: dict[int, float] = field(default_factory=dict)
     samples: int = 0
-    T: int = 0
 
     def track(self, layer: int, neuron_count: int) -> None:
         self.neurons.setdefault(layer, neuron_count)
@@ -353,7 +359,6 @@ class SpikeStats:
             self.track(layer, n)
             self.spikes[layer] += other.spikes[layer]
         self.samples += other.samples
-        self.T = other.T
 
     def rates(self) -> dict[int, float]:
         """Average spikes per neuron per sample over the full window."""
@@ -484,7 +489,7 @@ def _chunk_steps(spec: ArchSpec) -> int:
 
 
 def _spike_stats(net: Network, batch: int) -> SpikeStats:
-    stats = SpikeStats(samples=batch, T=net.spec.T)
+    stats = SpikeStats(samples=batch)
     for i, layer in enumerate(net.spec.layers, start=1):
         if layer.activation == "lif":
             stats.track(i, _feature_count(net.shapes[i]))
@@ -540,76 +545,58 @@ def _run_chunked(net: Network, x: np.ndarray, training: bool, spike_mode: str,
                  collect: dict[int, np.ndarray | None] | None) -> ForwardResult:
     """Chunks of ``_chunk_steps`` steps, each layer-major: a layer processes
     all steps of the chunk at once, as [steps * batch, ...] arrays of timestep
-    blocks. With several chunks, each layer that a skip payload, ``collect``
-    or the result reads keeps the list of its chunk outputs, and each LIF and
-    accumulator layer carries its state into the next chunk. One-step chunks
+    blocks. Each layer that a skip payload, ``collect`` or the result reads
+    keeps the list of its chunk outputs; without a tape, any other layer's
+    output is freed once the next layer has read it. Each LIF and accumulator
+    layer carries its state into the next chunk. Several one-step chunks
     carry it as tape tensors, through ``lif_step``'s ``LifState`` and the
     accumulator's own output; longer chunks carry ``lif_scan``'s arrays, which
-    no backward pass reaches, so they run without a tape only."""
+    no backward pass reaches, so several of them run without a tape only."""
     spec = net.spec
     T, batch = x.shape[:2]
     steps = _chunk_steps(spec)
     stats = _spike_stats(net, batch)
-    last_use = {i: i + 1 for i in range(spec.depth)}
-    for e in spec.tskips:
-        if e.is_forward:
-            last_use[e.origin] = max(last_use[e.origin], e.dest)
-    history = zeros = None
+    kept = {e.origin for e in spec.tskips} | (set(collect or ()) - {0}) | {spec.depth}
+    history: dict[int, list[Tensor]] = {l: [] for l in kept}
     carry: dict[int, object] = {}  # per layer, the state at the end of the last chunk
-    if steps < T:
-        kept = {e.origin for e in spec.tskips} | (set(collect or ()) - {0}) | {spec.depth}
-        history = {l: [] for l in kept}
-        # one chunk of zeros per origin stands for each chunk before step 0
-        zeros = {e.origin: Tensor(np.zeros((steps * batch,) + net.shapes[e.origin]))
-                 for e in spec.tskips}
-        if steps == 1:
-            carry = {l: LifState.zeros((batch,) + net.shapes[l])
-                     for l, layer in enumerate(spec.layers, start=1) if layer.activation == "lif"}
+    if 1 == steps < T:
+        carry = {l: LifState.zeros((batch,) + net.shapes[l])
+                 for l, layer in enumerate(spec.layers, start=1) if layer.activation == "lif"}
     for s in range(0, T, steps):
         e = min(s + steps, T)
-        seqs: list[Tensor | None] = [Tensor(x[s:e].reshape(((e - s) * batch,) + x.shape[2:]))]
-        if history is not None and 0 in history:
-            history[0].append(seqs[0])
+        h = Tensor(x[s:e].reshape(((e - s) * batch,) + x.shape[2:]))
+        if 0 in history:
+            history[0].append(h)
         for l, layer in enumerate(spec.layers, start=1):
-            h = _layer_sequence(net, l, seqs, history, zeros, s, e, batch, carry,
-                                training, spike_mode, surr, dropout, rng)
+            h = _layer_sequence(net, l, h, history, s, e, batch, carry, training, spike_mode,
+                                surr, dropout, rng)
             if layer.activation == "lif":
                 stats.add(l, float(h.data.sum()))
-            seqs.append(h)
-            if history is not None and l in history:
+            if l in history:
                 history[l].append(h)
-            elif collect is not None and l in collect:
-                collect[l] = h.data.reshape((T, batch) + net.shapes[l])
-            for i, last in last_use.items():
-                if last == l:
-                    seqs[i] = None  # without a tape, this frees the sequence
-    if history is None:
-        out = seqs[-1]
-        return ForwardResult(outputs=reshape(out, (T, batch) + out.shape[1:]), stats=stats)
-
-    def sequence(l: int) -> np.ndarray:
-        return np.concatenate([h.data for h in history[l]]).reshape((T, batch) + net.shapes[l])
 
     for l in set(collect or ()) - {0}:
-        collect[l] = sequence(l)
+        chunks = history[l]
+        rows = chunks[0].data if len(chunks) == 1 else np.concatenate([c.data for c in chunks])
+        collect[l] = rows.reshape((T, batch) + net.shapes[l])
+    out = history[spec.depth]
     # under a tape, stacking the one-step outputs keeps their gradients
-    outputs = stack(history[spec.depth]) if steps == 1 else Tensor(sequence(spec.depth))
+    outputs = (stack(out) if 1 == steps < T else
+               reshape(window(out, 0, T * batch), (T, batch) + net.shapes[spec.depth]))
     return ForwardResult(outputs=outputs, stats=stats)
 
 
-def _layer_sequence(net: Network, l: int, seqs: list[Tensor | None],
-                    history: dict[int, list[Tensor]] | None,
-                    zeros: dict[int, Tensor] | None, s: int, e: int, batch: int,
-                    carry: dict[int, object], training: bool, spike_mode: str,
-                    surr: SurrogateConfig, dropout: float,
+def _layer_sequence(net: Network, l: int, prev: Tensor, history: dict[int, list[Tensor]],
+                    s: int, e: int, batch: int, carry: dict[int, object], training: bool,
+                    spike_mode: str, surr: SurrogateConfig, dropout: float,
                     rng: np.random.Generator | None) -> Tensor:
-    """Layer ``l``'s output over steps [s, e), from the outputs of earlier
-    layers and, through ``carry``, its own state after step s - 1."""
+    """Layer ``l``'s output over steps [s, e), from ``prev``, the previous
+    layer's output over the same steps, the chunk outputs in ``history`` and,
+    through ``carry``, its own state after step s - 1."""
     spec = net.spec
     layer = spec.layers[l - 1]
     # the merged input stays unnamed: without a tape it is freed before the scan
-    drive = _drive(net, l, _sequence_input(net, l, seqs, history, zeros, s, e, batch),
-                   dropout, rng)
+    drive = _drive(net, l, _sequence_input(net, l, prev, history, s, e, batch), dropout, rng)
     if spec.bntt and layer.activation == "lif":
         drive = _bntt(net, l, drive, s, e, training)
     if layer.activation == "lif":
@@ -632,52 +619,39 @@ def _layer_sequence(net: Network, l: int, seqs: list[Tensor | None],
     return drive
 
 
-def _sequence_input(net: Network, l: int, seqs: list[Tensor | None],
-                    history: dict[int, list[Tensor]] | None,
-                    zeros: dict[int, Tensor] | None, s: int, e: int,
-                    batch: int) -> Tensor:
-    """Layer ``l``'s feed-forward input over steps [s, e) merged with its skip
-    payloads. A payload is steps [s - delta_t, e - delta_t) of its origin's
-    output, zeros before step 0; a blend's "now" term is steps [s, e), or
-    [s - 1, e - 1) over a backward edge. Each payload is resized before the
-    blend: both only move values, so the order does not change the result."""
-    ff = _flatten_for(net.spec.layers[l - 1], seqs[l - 1])
+def _sequence_input(net: Network, l: int, prev: Tensor, history: dict[int, list[Tensor]],
+                    s: int, e: int, batch: int) -> Tensor:
+    """Layer ``l``'s feed-forward input ``prev`` over steps [s, e) merged with
+    its skip payloads. A payload is steps [s - delta_t, e - delta_t) of its
+    origin's output, zeros before step 0; a blend's "now" term is steps
+    [s, e), or [s - 1, e - 1) over a backward edge."""
+    ff = _flatten_for(net.spec.layers[l - 1], prev)
     merged = ff
     for j, edge in enumerate(net.spec.tskips):
         if edge.dest != l:
             continue
-        if history is None:
-            # one chunk: the payload is the origin's sequence shifted, and
-            # selecting channels first keeps the shifted copy narrow
-            now = _resize(net, j, edge, seqs[edge.origin], ff)
-            payload = delay(now, edge.delta_t * batch) if edge.delta_t else now
-        else:
-            chunks, zero, dt = history[edge.origin], zeros[edge.origin], edge.delta_t
-            payload = _resize(net, j, edge, _window(chunks, zero, s - dt, e - dt, batch), ff)
-            if edge.alpha:
-                lag = 0 if edge.is_forward else 1
-                now = _resize(net, j, edge, _window(chunks, zero, s - lag, e - lag, batch), ff)
+        chunks, dt = history[edge.origin], edge.delta_t
+        payload = _payload(net, j, edge, chunks, s - dt, e - dt, batch, ff)
         if edge.alpha:
+            lag = 0 if edge.is_forward else 1
+            now = _payload(net, j, edge, chunks, s - lag, e - lag, batch, ff)
             payload = _blend(net, j, now, payload)
         merged = _merge(edge, merged, payload)
     return merged
 
 
-def _window(chunks: list[Tensor], zero: Tensor, lo: int, hi: int, batch: int) -> Tensor:
-    """Steps [lo, hi) of a layer's output, from the list of its chunk outputs
-    and ``zero``, one chunk of zeros that stands for each chunk before step 0.
-    A window that is exactly one chunk is that chunk's tensor itself, so it
-    adds nothing to a tape; any other window is a copy, which only tape-free
-    passes read, since under a tape a pass with several chunks has one-step
-    chunks."""
-    steps = zero.shape[0] // batch
-    first, last = lo // steps, (hi - 1) // steps
-    blocks = [chunks[k] if k >= 0 else zero for k in range(first, last + 1)]
-    if lo == first * steps and blocks[0].shape[0] == (hi - lo) * batch:
-        return blocks[0]
-    rows = np.concatenate([b.data for b in blocks])
-    start = (lo - first * steps) * batch
-    return Tensor(rows[start:start + (hi - lo) * batch])
+def _payload(net: Network, j: int, edge: TSkip, chunks: list[Tensor], lo: int, hi: int,
+             batch: int, ff: Tensor) -> Tensor:
+    """Steps [lo, hi) of edge ``j``'s origin output, zeros before step 0,
+    mapped onto ``ff``: each chunk output that the steps cover is resized,
+    which keeps the copy narrow, and ``window`` cuts the steps from them.
+    Every chunk but the last has the first one's length."""
+    if hi <= 0:
+        return Tensor(np.zeros(ff.shape))
+    steps = chunks[0].shape[0] // batch
+    first = max(lo, 0) // steps
+    blocks = [_resize(net, j, edge, c, ff) for c in chunks[first:(hi - 1) // steps + 1]]
+    return window(blocks, (lo - first * steps) * batch, (hi - lo) * batch)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from tempospike.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION
 from tempospike.data import load_dataset
 from tempospike.graph import (ArchSpec, LayerSpec, Network, load_spec, mlp_spec, save_spec,
                               spec_to_dict, TSkip)
-from tempospike.trainer import TrainError, load_checkpoint, save_checkpoint
+from tempospike.trainer import TrainConfig, TrainError, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture
@@ -121,6 +121,21 @@ class TestTrain:
         assert code == EXIT_OK
         run = json.loads((out / "run.json").read_text())
         assert run["scheduler"] == "multistep" and run["loss"] == "mse"
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_run_record_holds_the_train_config(self, tmp_path, tiny_data, tiny_spec, command):
+        out = tmp_path / "run"
+        flags = ["--data", str(tiny_data / "train"), "--epochs", "1", "--batch", "16",
+                 "--lr", "0.002", "--dropout", "0.1", "--seed", "4", "--out", str(out)]
+        head = ["train", "--spec", str(tiny_spec)] if command == "train" else \
+            ["ablate", "--axis", "depth", "--grid", "2", "--spec", str(tiny_spec)]
+        assert main(head + flags) == EXIT_OK
+        cfg = TrainConfig(epochs=1, batch_size=16, lr_init=0.002, dropout=0.1, seed=4)
+        run = json.loads((out / "run.json").read_text())
+        assert TrainConfig(**run["train_config"]) == cfg
+        if command == "train":
+            _, extra = load_checkpoint(out / "checkpoint.npz")
+            assert extra == {"train_config": run["train_config"]}
 
 
 class TestSearch:
@@ -357,6 +372,8 @@ BROKEN_INPUTS = {
         _spec_file(tmp, threshold_init=0.005), data / "train")),
     "spec leak_init above the clamp": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp, leak_init=0.9995), data / "train")),
+    "spec layer width 2000000000": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp, layers=[{"kind": "dense", "out": 2000000000}, 3]), data / "train")),
     "spec edge alpha_init NaN": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp, tskips=[{"origin": 0, "dest": 1, "delta_t": 1, "alpha": True,
                                  "alpha_init": float("nan")}]), data / "train")),
@@ -457,10 +474,13 @@ BROKEN_INPUTS = {
         _space_file(tmp, out_units=0))),
     "space reset unknown": (EXIT_VALIDATION, lambda tmp, data: _search(
         _space_file(tmp, reset="none"))),
+    "space T 10**9": (EXIT_USAGE, lambda tmp, data: _search(_space_file(tmp, T=10**9))),
     "search --probe-batch -1": (EXIT_USAGE, lambda tmp, data: _search(
         _space_file(tmp), "--probe-batch", "-1")),
     "search --probe-batch 1": (EXIT_USAGE, lambda tmp, data: _search(
         _space_file(tmp), "--probe-batch", "1")),
+    "search --probe-batch 2000000000": (EXIT_USAGE, lambda tmp, data: _search(
+        _space_file(tmp), "--probe-batch", "2000000000")),
     "search --k 0": (EXIT_VALIDATION, lambda tmp, data: _search(
         _space_file(tmp), "--k", "0")),
     "search --n 0 --k 0": (EXIT_VALIDATION, lambda tmp, data: _search(
@@ -469,6 +489,7 @@ BROKEN_INPUTS = {
         _space_file(tmp), "--n", "3", "--k", "-1")),
     "synth --n -1": (EXIT_USAGE, lambda tmp, data: _synth("--n", "-1")),
     "synth --n-test -1": (EXIT_USAGE, lambda tmp, data: _synth("--n-test", "-1")),
+    "synth --n 10**12": (EXIT_USAGE, lambda tmp, data: _synth("--n", str(10**12))),
 }
 
 

@@ -34,6 +34,7 @@ from tempospike.engine import (
     square,
     sub,
     surrogate_grad,
+    window,
 )
 
 
@@ -356,6 +357,67 @@ class TestSelectChannels:
         expected = np.zeros_like(x.data)
         np.add.at(expected, (slice(None), picks), w)
         assert np.array_equal(tape.backward(loss)[x], expected)
+
+
+class TestWindow:
+    """Rows [start, start + rows) of blocks laid end to end, zeros before row 0."""
+
+    @staticmethod
+    def blocks(rng, rows=(4, 6, 2)):
+        return [Tensor(rng.normal(size=(n, 3)), requires_grad=True) for n in rows]
+
+    def test_rows_of_the_blocks_laid_end_to_end(self):
+        bs = self.blocks(np.random.default_rng(0))
+        padded = np.concatenate([np.zeros((5, 3))] + [b.data for b in bs])
+        for start, rows in [(-5, 3), (-2, 6), (0, 12), (1, 2), (3, 5), (8, 4)]:
+            assert np.array_equal(window(bs, start, rows).data,
+                                  padded[start + 5:start + 5 + rows])
+
+    def test_exactly_one_block_is_that_block(self):
+        bs = self.blocks(np.random.default_rng(1))
+        with Tape() as tape:
+            assert window(bs, 4, 6) is bs[1]
+        assert tape.nodes == []
+
+    def test_rows_past_the_end_are_refused(self):
+        with pytest.raises(ShapeError):
+            window(self.blocks(np.random.default_rng(2)), 10, 3)
+
+    @pytest.mark.parametrize("start, rows", [(-3, 5), (1, 2), (2, 6)],
+                             ids=["zero lead", "inside one block", "across two blocks"])
+    def test_gradients_vs_finite_differences(self, start, rows):
+        rng = np.random.default_rng(3)
+        bs = self.blocks(rng, (4, 6))
+        w = Tensor(rng.normal(size=(rows, 3)))
+        check_grads(lambda: square(window(bs, start, rows) * w).sum(), bs, tol=1e-6)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_backward_is_the_adjoint(self, data):
+        # <window(x), g> = <x, backward(g)>; small integers keep both sums exact
+        sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+        start = data.draw(st.integers(-4, sum(sizes) - 1))
+        rows = data.draw(st.integers(1, sum(sizes) - start))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        bs = [Tensor(rng.integers(-9, 10, (n, 2)).astype(np.float64), requires_grad=True)
+              for n in sizes]
+        g = rng.integers(-9, 10, (rows, 2)).astype(np.float64)
+        with Tape() as tape:
+            out = window(bs, start, rows)
+            loss = (out * Tensor(g)).sum()
+        grads = tape.backward(loss)
+        back = sum(float(np.vdot(b.data, grads[b])) for b in bs if b in grads)
+        assert float(np.vdot(out.data, g)) == back
+
+    def test_a_taped_window_across_two_chunks_reaches_both(self):
+        rng = np.random.default_rng(4)
+        chunks = self.blocks(rng, (4, 4))
+        with Tape() as tape:
+            loss = window(chunks, 2, 4).sum()
+        assert len(tape.nodes) == 2  # the window and the sum
+        grads = tape.backward(loss)
+        assert grads[chunks[0]].tolist() == [[0.0] * 3] * 2 + [[1.0] * 3] * 2
+        assert grads[chunks[1]].tolist() == [[1.0] * 3] * 2 + [[0.0] * 3] * 2
 
 
 class TestBntt:

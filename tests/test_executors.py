@@ -241,10 +241,10 @@ def test_chunk_size_is_one_under_a_tape_with_a_backward_edge(monkeypatch, taped,
     lengths = []
     original = graph._layer_sequence
 
-    def layer_sequence(net, l, seqs, history, zeros, s, e, *rest):
+    def layer_sequence(net, l, prev, history, s, e, *rest):
         if l == 1:
             lengths.append(e - s)
-        return original(net, l, seqs, history, zeros, s, e, *rest)
+        return original(net, l, prev, history, s, e, *rest)
 
     monkeypatch.setattr(graph, "_layer_sequence", layer_sequence)
     spec = ArchSpec(input_shape=(5,), layers=(LayerSpec("dense", 4), LayerSpec("dense", 4),
@@ -310,11 +310,11 @@ def test_collect_hands_back_the_input_for_layer_0(tskips, taped):
 
 
 @pytest.mark.parametrize("taped, tskips", [(False, ()), (True, (TSkip(3, 1, 1),))],
-                         ids=["chunked", "time-major"])
+                         ids=["chunked", "one-step"])
 @pytest.mark.parametrize("layer", [-1, 4, 7])
 def test_collect_outside_the_layers_is_rejected(monkeypatch, taped, tskips, layer):
-    # tape-free, and under a tape with a back edge, which runs time-major
-    # in one-step chunks
+    # tape-free, and under a tape with a back edge, which runs in one-step
+    # chunks
     def never(*args):
         raise AssertionError("the executor ran")
 

@@ -73,27 +73,27 @@ class TestEnergyArithmetic:
 
 class TestSpikeRate:
     def test_silent_layer(self):
-        stats = SpikeStats(samples=4, T=5)
+        stats = SpikeStats(samples=4)
         stats.track(1, 10)
         assert stats.rates()[1] == 0.0
 
     def test_every_neuron_every_step(self):
-        stats = SpikeStats(samples=3, T=5)
+        stats = SpikeStats(samples=3)
         stats.track(1, 10)
         stats.add(1, 10 * 3 * 5)
         assert stats.rates()[1] == pytest.approx(5.0)
 
     def test_half_neurons_once(self):
-        stats = SpikeStats(samples=1, T=7)
+        stats = SpikeStats(samples=1)
         stats.track(1, 10)
         stats.add(1, 5.0)
         assert stats.rates()[1] == pytest.approx(0.5)
 
     def test_accumulate_over_batches(self):
-        a = SpikeStats(samples=2, T=3)
+        a = SpikeStats(samples=2)
         a.track(1, 4)
         a.add(1, 6.0)
-        b = SpikeStats(samples=3, T=3)
+        b = SpikeStats(samples=3)
         b.track(1, 4)
         b.add(1, 4.0)
         a.accumulate(b)
@@ -105,7 +105,7 @@ class TestProfileNetwork:
     def test_fan_in_and_kinds(self):
         spec = mlp_spec([700, 124, 288, 20], T=99,
                         tskips=[TSkip(0, 2, 16, merge="concat")])
-        stats = SpikeStats(samples=1, T=99)
+        stats = SpikeStats(samples=1)
         stats.track(1, 124)
         stats.add(1, 124.0)
         stats.track(2, 288)
@@ -124,7 +124,7 @@ class TestProfileNetwork:
                         layers=(LayerSpec("dense", 8, activation="relu"),
                                 LayerSpec("dense", 4, activation="linear")),
                         T=5)
-        profiles = profile_network(spec, SpikeStats(samples=1, T=5))
+        profiles = profile_network(spec, SpikeStats(samples=1))
         assert all(p.kind == "ann" for p in profiles)
         report = energy_total(profiles)
         assert report.total_joules == pytest.approx((10 * 8 + 8 * 4) * 4.6e-12)
