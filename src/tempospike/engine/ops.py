@@ -130,10 +130,11 @@ def select_channels(x: Tensor, indices, axis: int = 1) -> Tensor:
         raise ShapeError("selection must be a flat index list")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[axis]):
         raise ShapeError(f"selection index out of range for {x.shape[axis]} channels")
+    shape = x.shape
 
     def back(g):
-        gx = np.zeros_like(x.data)
-        key = [slice(None)] * x.ndim
+        gx = np.zeros(shape)
+        key = [slice(None)] * len(shape)
         rest = np.arange(idx.size)
         while rest.size:
             # one round adds the first remaining pick of every channel, so its
@@ -390,9 +391,11 @@ def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_m
         o_seq[t] = (z > 0) if spike_mode == "hard" else soft_spike_forward(z, alpha)
         o = o_seq[t]
 
+    rows, drive_shape = d.shape, drive.shape
+
     def back(g):
-        gs = g.reshape(d.shape)
-        gd = np.empty_like(d)
+        gs = g.reshape(rows)
+        gd = np.empty(rows)
         inv_th = 1.0 / th
         g_next = None  # membrane gradient of step t + 1
         g_leak = dot_zu = dot_reset = 0.0
@@ -421,7 +424,7 @@ def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_m
                 g_next += carry
             gd[t] = g_next
         g_th = -dot_zu * inv_th * inv_th - dot_reset
-        return (gd.reshape(drive.shape), np.asarray(g_leak).reshape(leak.shape),
+        return (gd.reshape(drive_shape), np.asarray(g_leak).reshape(leak.shape),
                 np.asarray(g_th).reshape(threshold.shape))
 
     # a copy, so that the state does not keep the whole spike sequence alive
@@ -443,18 +446,19 @@ def li_scan(drive: Tensor, leak: Tensor, init: Tensor) -> Tensor:
     acc = acc_init = init.data.reshape(-1)
     for t in range(len(d)):
         acc = acc_seq[t] = lk * acc + d[t]
+    rows, drive_shape = d.shape, drive.shape
 
     def back(g):
-        gs = g.reshape(d.shape)
-        gd = np.empty_like(d)
+        gs = g.reshape(rows)
+        gd = np.empty(rows)
         ga = None
         g_leak = 0.0
-        for t in range(len(d) - 1, -1, -1):
+        for t in range(rows[0] - 1, -1, -1):
             ga = gs[t] if ga is None else gs[t] + ga * lk
             gd[t] = ga
             g_leak += np.vdot(ga, acc_seq[t - 1] if t else acc_init)
         g_init = (ga * lk).reshape(init.shape) if init.requires_grad else None
-        return gd.reshape(drive.shape), np.asarray(g_leak).reshape(leak.shape), g_init
+        return gd.reshape(drive_shape), np.asarray(g_leak).reshape(leak.shape), g_init
 
     return record((drive, leak, init), acc_seq.reshape(drive.shape), back)
 
@@ -483,8 +487,10 @@ def window(blocks: Sequence[Tensor], start: int, rows: int) -> Tensor:
         if a < z:
             out[a - start:z - start] = b.data[a - lo:z - lo]
 
+    shapes = [b.shape for b in blocks]
+
     def back(g):
-        grads = tuple(np.zeros_like(b.data) for b in blocks)
+        grads = tuple(np.zeros(shape) for shape in shapes)
         for gb, lo, (a, z) in zip(grads, lows, spans):
             if a < z:
                 gb[a - lo:z - lo] = g[a - start:z - start]
@@ -516,9 +522,10 @@ def spatial_mean(x: Tensor) -> Tensor:
         return x
     axes = tuple(range(2, x.ndim))
     n = int(np.prod([x.shape[a] for a in axes]))
+    shape = x.shape
 
     def back(g):
-        return (np.broadcast_to(g.reshape(g.shape + (1,) * len(axes)) / n, x.shape).copy(),)
+        return (np.broadcast_to(g.reshape(g.shape + (1,) * len(axes)) / n, shape).copy(),)
 
     return record((x,), x.data.mean(axis=axes), back)
 

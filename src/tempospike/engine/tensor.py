@@ -2,18 +2,25 @@
 
 The tape records every differentiable operation in execution order, which is a
 topological order by construction, so one reverse sweep yields gradients for
-every tensor that requires them. Tensors are immutable after creation except
-through the optimizer, which rewrites ``.data`` in place between tapes.
+every tensor that requires them. The tape names tensors by their ``key`` and
+holds none of the arrays its ops produce: an array lives while the caller or
+some backward closure reads it, and each closure captures only what its
+formula reads (a shape, a mask, an input's data). Tensors are immutable after
+creation except through the optimizer, which rewrites ``.data`` in place
+between tapes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 Array = np.ndarray
+
+_KEYS = itertools.count()
 
 
 class EngineError(Exception):
@@ -25,14 +32,16 @@ class ShapeError(EngineError):
 
 
 class Tensor:
-    """A dense float64 array plus gradient bookkeeping."""
+    """A dense float64 array plus gradient bookkeeping. ``key`` is unique in
+    the process and names the tensor on a tape."""
 
-    __slots__ = ("data", "requires_grad", "name")
+    __slots__ = ("data", "requires_grad", "name", "key")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.name = name
+        self.key = next(_KEYS)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -102,14 +111,15 @@ def _coerce(x) -> Tensor:
 
 
 class TapeNode:
-    """One recorded operation: inputs, output, and its backward rule."""
+    """One recorded operation: the keys of its inputs (None for an input that
+    needs no gradient), the key of its output, and its backward rule."""
 
-    __slots__ = ("inputs", "output", "backward")
+    __slots__ = ("input_keys", "output_key", "backward")
 
-    def __init__(self, inputs: tuple[Tensor, ...], output: Tensor,
+    def __init__(self, input_keys: tuple[int | None, ...], output_key: int,
                  backward: Callable[[Array], tuple[Array | None, ...]]):
-        self.inputs = inputs
-        self.output = output
+        self.input_keys = input_keys
+        self.output_key = output_key
         self.backward = backward
 
 
@@ -121,6 +131,9 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self.produced: set[int] = set()  # keys of the nodes' outputs
+        # inputs that require a gradient but were not produced on this tape
+        self.leaves: dict[int, Tensor] = {}
         # global L2 norm of every gradient the last backward sweep computed,
         # activations included, although only leaf gradients are returned
         self.grad_norm: float | None = None
@@ -132,31 +145,42 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         _TAPE_STACK.pop()
 
+    def _record(self, inputs: Sequence[Tensor], out: Tensor,
+                backward_fn: Callable[[Array], tuple[Array | None, ...]]) -> None:
+        for t in inputs:
+            if t.requires_grad and t.key not in self.produced:
+                self.leaves[t.key] = t
+        self.produced.add(out.key)
+        keys = tuple(t.key if t.requires_grad else None for t in inputs)
+        self.nodes.append(TapeNode(keys, out.key, backward_fn))
+
     def backward(self, loss: Tensor) -> dict[Tensor, Array]:
         """Gradients of a scalar loss w.r.t. every leaf tensor that requires them.
 
-        Intermediate gradients are dropped as soon as their node has been
-        processed, so the result holds leaves (parameters, inputs) only.
-        Deterministic: the same tape always accumulates in the same order.
+        Gradients are summed by key. Intermediate gradients are dropped as soon
+        as their node has been processed, so what is left belongs to leaves
+        (parameters, inputs, tensors of an enclosing tape), which are returned
+        as ``{leaf: grad}``. Deterministic: the same tape always accumulates in
+        the same order.
         """
         if loss.size != 1:
             raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
-        if not any(node.output is loss for node in self.nodes):
+        if loss.key not in self.produced:
             raise EngineError("loss tensor was not produced on this tape")
-        grads: dict[Tensor, Array] = {loss: np.ones_like(loss.data)}
+        grads: dict[int, Array] = {loss.key: np.ones_like(loss.data)}
         sq = 0.0
         for node in reversed(self.nodes):
-            gout = grads.pop(node.output, None)
+            gout = grads.pop(node.output_key, None)
             if gout is None:
                 continue
             sq += float(np.vdot(gout, gout))
-            for tensor, gin in zip(node.inputs, node.backward(gout)):
-                if gin is None or not tensor.requires_grad:
+            for key, gin in zip(node.input_keys, node.backward(gout)):
+                if gin is None or key is None:
                     continue
-                acc = grads.get(tensor)
-                grads[tensor] = gin if acc is None else acc + gin
+                acc = grads.get(key)
+                grads[key] = gin if acc is None else acc + gin
         self.grad_norm = math.sqrt(sq + sum(float(np.vdot(g, g)) for g in grads.values()))
-        return grads
+        return {self.leaves[key]: g for key, g in grads.items()}
 
 
 def active_tape() -> Tape | None:
@@ -169,7 +193,7 @@ def record(inputs: Sequence[Tensor], out_data: Array,
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     tape = active_tape()
     if tape is not None and out.requires_grad:
-        tape.nodes.append(TapeNode(tuple(inputs), out, backward_fn))
+        tape._record(inputs, out, backward_fn)
     return out
 
 
@@ -187,17 +211,21 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 # require one, such as a constant mask: the tape would drop it anyway.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    sa, sb, need_a, need_b = a.shape, b.shape, a.requires_grad, b.requires_grad
+
     def back(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
+        return (_unbroadcast(g, sa) if need_a else None,
+                _unbroadcast(g, sb) if need_b else None)
 
     return record((a, b), a.data + b.data, back)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
+    sa, sb, need_a, need_b = a.shape, b.shape, a.requires_grad, b.requires_grad
+
     def back(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None)
+        return (_unbroadcast(g, sa) if need_a else None,
+                _unbroadcast(-g, sb) if need_b else None)
 
     return record((a, b), a.data - b.data, back)
 
@@ -237,34 +265,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
+    shape = a.shape
+
     def back(g):
-        return (np.full(a.shape, float(g)),)
+        return (np.full(shape, float(g)),)
 
     return record((a,), np.asarray(a.data.sum()), back)
 
 
 def mean_all(a: Tensor) -> Tensor:
-    n = a.size
+    n, shape = a.size, a.shape
 
     def back(g):
-        return (np.full(a.shape, float(g) / n),)
+        return (np.full(shape, float(g) / n),)
 
     return record((a,), np.asarray(a.data.mean()), back)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
+    shape, shape_a = tuple(shape), a.shape
 
     def back(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(shape_a),)
 
     return record((a,), a.data.reshape(shape), back)
 
 
 def index(a: Tensor, key) -> Tensor:
     """Basic indexing, e.g. one timestep of a [T, batch, ...] sequence."""
+    shape = a.shape
+
     def back(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         ga[key] = g
         return (ga,)
 
@@ -281,7 +313,9 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
 
 def sum_steps(a: Tensor) -> Tensor:
     """Sum over the leading (time) axis."""
+    shape = a.shape
+
     def back(g):
-        return (np.broadcast_to(g, a.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return record((a,), a.data.sum(axis=0), back)

@@ -180,6 +180,13 @@ def _feature_count(shape: tuple[int, ...]) -> int:
 
 def validate(spec: ArchSpec) -> list[str]:
     """All structural invariants; returns a list of violations (empty = ok)."""
+    return checked_param_table(spec)[0]
+
+
+def checked_param_table(spec: ArchSpec) -> tuple[list[str], list[ParamSpec]]:
+    """``validate``'s violations and the parameter table its size check read,
+    so that a caller needing both builds the table once. The table is empty
+    when a violation ends the checks before the size check."""
     v: list[str] = []
     if spec.T < 1:
         v.append(f"sequence length must be >= 1, got {spec.T}")
@@ -203,12 +210,12 @@ def validate(spec: ArchSpec) -> list[str]:
                                        or not layer.stride or layer.stride < 1):
             v.append(f"layer {i}: conv2d needs kernel >= 1 and stride >= 1")
     if v:
-        return v
+        return v, []
 
     try:
         shapes = infer_shapes(spec)
     except GraphError as err:
-        return [str(err)]
+        return [str(err)], []
 
     depth = spec.depth
     concat_dests: set[int] = set()
@@ -246,10 +253,11 @@ def validate(spec: ArchSpec) -> list[str]:
                 v.append(f"{tag}: payload has no spatial dims for conv destination")
             elif payload[1:] != ff_in[1:]:
                 v.append(f"{tag}: spatial mismatch {payload[1:]} vs {ff_in[1:]}")
-    size = 8 * sum(math.prod(p.shape) for p in param_table(spec))
+    table = param_table(spec)
+    size = 8 * sum(math.prod(p.shape) for p in table)
     if size > MAX_DATASET_BYTES:
         v.append(f"parameters need {size} bytes, above the limit of {MAX_DATASET_BYTES}")
-    return v
+    return v, table
 
 
 @dataclass(frozen=True)
@@ -302,7 +310,12 @@ def param_table(spec: ArchSpec) -> list[ParamSpec]:
 def param_count(spec: ArchSpec) -> int:
     """Exact trainable parameter count: weights, biases, neuron scalars,
     per-timestep normalization affines, and per-edge blend factors."""
-    return sum(int(np.prod(p.shape)) for p in param_table(spec) if p.trainable)
+    return trainable_count(param_table(spec))
+
+
+def trainable_count(table: list[ParamSpec]) -> int:
+    """``param_count`` of an already built parameter table."""
+    return sum(int(np.prod(p.shape)) for p in table if p.trainable)
 
 
 @dataclass(frozen=True)
@@ -396,13 +409,13 @@ class Network:
 
     @classmethod
     def build(cls, spec: ArchSpec, seed: int = 0) -> "Network":
-        violations = validate(spec)
+        violations, table = checked_param_table(spec)
         if violations:
             raise SpecValidationError(violations)
         rng = np.random.default_rng(seed)
         params: dict[str, Tensor] = {}
         state: dict[str, np.ndarray] = {}
-        for p in param_table(spec):
+        for p in table:
             if p.init is None:
                 bound = np.sqrt(6.0 / weight_fan_in(p.shape))
                 value = rng.uniform(-bound, bound, p.shape)

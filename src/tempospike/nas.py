@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (LAYER_KINDS, MERGE_OPS, ArchSpec, LayerSpec, Network, TSkip, param_count,
-                    run_forward, validate)
+from .graph import (LAYER_KINDS, MERGE_OPS, ArchSpec, LayerSpec, Network, TSkip,
+                    checked_param_table, run_forward, trainable_count)
 from .neuron import RESET_MODES, init_violations
 
 KERNEL_EPS = 1e-6
@@ -146,9 +146,10 @@ def sample(space: SearchSpace, rng: np.random.Generator,
     valid and fits the parameter budget."""
     for _ in range(max_attempts):
         spec = _draw_spec(space, rng)
-        if validate(spec):
+        violations, table = checked_param_table(spec)
+        if violations:
             continue
-        if space.param_budget is not None and param_count(spec) > space.param_budget:
+        if space.param_budget is not None and trainable_count(table) > space.param_budget:
             continue
         return spec
     raise SearchError(f"no admissible architecture found in {max_attempts} attempts; "

@@ -3,6 +3,7 @@ import platform
 import resource
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,14 +17,17 @@ from tempospike.engine import (
     SurrogateConfig,
     Tape,
     Tensor,
+    add,
+    affine,
     bntt_seq,
     concat,
     conv2d,
-    add,
     cross_entropy,
     div,
     dropout,
+    li_scan,
     lif_scan,
+    lif_update,
     matmul,
     mse,
     mul,
@@ -33,6 +37,7 @@ from tempospike.engine import (
     spike,
     square,
     sub,
+    sum_steps,
     surrogate_grad,
     window,
 )
@@ -184,11 +189,12 @@ class TestConv2d:
         rng = np.random.default_rng(5)
         x, k, b = conv_operands(rng, (2, 2, 4, 4), (3, 2, 3, 3), x_grad=False)
         with Tape() as tape:
-            loss = square(conv2d(x, k, b, stride=1)).sum()
+            out = conv2d(x, k, b, stride=1)
+            loss = square(out).sum()
         grads = tape.backward(loss)
         assert set(grads) == {k, b}
         conv_node = tape.nodes[0]
-        assert conv_node.backward(np.ones(conv_node.output.shape))[0] is None
+        assert conv_node.backward(np.ones(out.shape))[0] is None
 
     def test_tape_keeps_no_padded_input(self):
         # the padded (16, 18, 18, 8) input is 5x the output; the backward
@@ -587,7 +593,7 @@ class TestBackward:
                 op(c, x)
         for node in tape.nodes:
             grads = node.backward(np.ones((2, 3)))
-            assert [g is None for g in grads] == [not t.requires_grad for t in node.inputs]
+            assert [g is None for g in grads] == [k is None for k in node.input_keys]
 
     def test_gradient_accumulates_over_reuse(self):
         w = Tensor([[1.0]], requires_grad=True)
@@ -595,6 +601,108 @@ class TestBackward:
             y = matmul(Tensor([[2.0]]), w) + matmul(Tensor([[3.0]]), w)
             loss = y.sum()
         assert tape.backward(loss)[w].item() == 5.0
+
+
+
+class TestTapeKeys:
+    """The tape names tensors by key and holds none of their arrays, so an
+    array that no backward closure reads is freed once the caller drops it."""
+
+    @staticmethod
+    def leaf(rng, shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    @staticmethod
+    def assert_freed_when_dropped(make, consume):
+        # ``make`` builds the intermediate, ``consume`` feeds it to the next
+        # op; the weak reference is taken and checked while the tape lives
+        with Tape() as tape:
+            mid = make()
+            ref = weakref.ref(mid.data)
+            loss = consume(mid).sum()
+            del mid
+            assert ref() is None
+        assert tape.backward(loss)
+
+    def test_bntt_output_fed_to_lif_update_is_freed(self):
+        rng = np.random.default_rng(60)
+        x, gamma, beta = self.leaf(rng, (4, 3)), self.leaf(rng, (1, 3)), self.leaf(rng, (1, 3))
+        leak, th = Tensor(0.9, requires_grad=True), Tensor(1.0, requires_grad=True)
+        mem, prev = Tensor(rng.normal(size=(4, 3))), Tensor(np.ones((4, 3)))
+        self.assert_freed_when_dropped(
+            lambda: bntt_seq(x, gamma, beta, np.zeros((1, 3)), np.ones((1, 3)), 0, 1, True),
+            lambda drive: lif_update(mem, drive, prev, leak, th, "soft"))
+
+    def test_affine_drive_fed_to_lif_scan_is_freed(self):
+        rng = np.random.default_rng(61)
+        x, w, b = self.leaf(rng, (6, 4)), self.leaf(rng, (4, 5)), self.leaf(rng, (5,))
+        leak, th = Tensor(0.9, requires_grad=True), Tensor(0.5, requires_grad=True)
+        self.assert_freed_when_dropped(
+            lambda: affine(x, w, b),
+            lambda drive: lif_scan(drive, leak, th, 3, "hard", SurrogateConfig(2.0))[0])
+
+    def test_affine_drive_fed_to_li_scan_is_freed(self):
+        rng = np.random.default_rng(62)
+        x, w, b = self.leaf(rng, (6, 4)), self.leaf(rng, (4, 5)), self.leaf(rng, (5,))
+        leak, init = Tensor(0.9, requires_grad=True), self.leaf(rng, (2, 5))
+        self.assert_freed_when_dropped(lambda: affine(x, w, b),
+                                       lambda drive: li_scan(drive, leak, init))
+
+    def test_select_channels_output_fed_to_dropout_is_freed(self):
+        rng = np.random.default_rng(63)
+        x, keep = self.leaf(rng, (4, 3, 2, 2)), rng.random((4, 5, 2, 2)) < 0.7
+        self.assert_freed_when_dropped(lambda: select_channels(x, [0, 2, 2, 1, 0]),
+                                       lambda sel: dropout(sel, keep, 0.3))
+
+    def test_concat_output_fed_to_dropout_is_freed(self):
+        rng = np.random.default_rng(64)
+        a, b, keep = self.leaf(rng, (4, 3)), self.leaf(rng, (4, 2)), rng.random((4, 5)) < 0.7
+        self.assert_freed_when_dropped(lambda: concat(a, b), lambda cat: dropout(cat, keep, 0.3))
+
+    def test_dropping_intermediates_leaves_gradients_bit_identical(self):
+        rng = np.random.default_rng(65)
+        x, w, b = self.leaf(rng, (8, 3)), self.leaf(rng, (3, 4)), self.leaf(rng, (4,))
+        gamma, beta = self.leaf(rng, (2, 4)), self.leaf(rng, (2, 4))
+        leak, th = Tensor(0.8, requires_grad=True), Tensor(0.4, requires_grad=True)
+        keep = rng.random((8, 6)) < 0.7
+        leaves = [x, w, b, gamma, beta, leak, th]
+
+        def run(kept: list | None):
+            # every intermediate goes into ``kept``, or is dropped at once
+            def k(t):
+                if kept is not None:
+                    kept.append(t)
+                return t
+
+            h = k(bntt_seq(k(affine(x, w, b)), gamma, beta, np.zeros((2, 4)),
+                           np.ones((2, 4)), 0, 2, True))
+            spikes = k(lif_scan(h, leak, th, 2, "soft", SurrogateConfig(2.0))[0])
+            mixed = k(dropout(k(concat(spikes, k(select_channels(h, [3, 0])))), keep, 0.3))
+            acc = k(li_scan(mixed, leak, Tensor(np.zeros((4, 6)))))
+            return cross_entropy(k(sum_steps(k(acc.reshape((2, 4, 6))))), [0, 5, 2, 1])
+
+        kept, results = [], []
+        for store in (kept, None):
+            with Tape() as tape:
+                loss = run(store)
+            grads = tape.backward(loss)
+            results.append(([grads[t].tobytes() for t in leaves], tape.grad_norm))
+        assert len(kept) == 9
+        assert results[0] == results[1]
+
+    def test_tensor_of_an_outer_tape_is_a_leaf_of_an_inner_one(self):
+        x = Tensor([[1.0, -2.0]], requires_grad=True)
+        with Tape() as outer:
+            h = x * 3.0
+            with Tape() as inner:
+                y = (h * h).sum()
+            inner_grads = inner.backward(y)
+            z = h.sum()
+        assert list(inner_grads) == [h]
+        assert inner_grads[h].tolist() == [[6.0, -12.0]]
+        assert list(outer.backward(z)) == [x]
+        with pytest.raises(EngineError, match="not produced on this tape"):
+            outer.backward(y)
 
 
 class TestLifScan:

@@ -3,6 +3,7 @@
 backward-edge graph records, and which gradients a backward pass returns."""
 
 import contextlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,7 @@ from step_reference import run_steps
 
 from tempospike import graph, trainer
 from tempospike.data import Dataset
-from tempospike.engine import SurrogateConfig, Tape, Tensor, mse
+from tempospike.engine import SurrogateConfig, Tape, Tensor, mse, ops, tensor
 from tempospike.graph import (ArchSpec, LayerSpec, Network, TSkip, from_shorthand, run_forward,
                               validate)
 from tempospike.trainer import TrainConfig, readout_logits
@@ -292,6 +293,72 @@ def test_taped_backward_edge_records_one_lif_step_per_layer_and_step(monkeypatch
     got, ref = step_losses(run_forward), step_losses(run_steps)
     assert len(got) == 6 and len(set(got)) == 6
     assert got == ref
+
+
+# The arrays each op kind's backward closure reads, given the node's input
+# tensors and output; parameters are left out, since they exist before a
+# pass. Dropout reads its boolean mask, one byte per output value. The kinds
+# in READS_NO_ARRAY read shapes and indices only.
+CLOSURE_READS = {
+    "conv2d": lambda ins, out: [ins[0].data],  # the unpadded input
+    "bntt_seq": lambda ins, out: [ins[0].data],  # x, to rebuild x-hat
+    "lif_update": lambda ins, out: [ins[0].data, ins[2].data],  # membrane, previous spikes
+    "normalized_drive": lambda ins, out: [ins[0].data],  # membrane
+    "spike": lambda ins, out: [ins[0].data],  # normalized drive
+    "dropout": lambda ins, out: [np.empty(out.shape, dtype=bool)],
+    "affine": lambda ins, out: [ins[0].data],  # x
+    "li_scan": lambda ins, out: [out.data, ins[2].data],  # potentials, initial state
+}
+READS_NO_ARRAY = {"concat", "select_channels", "reshape", "stack", "window"}
+# room per node for the node, its closure and cells, and per-channel vectors
+NODE_SLACK = 2 << 10
+
+
+def test_taped_conv_backedge_pass_keeps_only_what_backward_closures_read(monkeypatch):
+    # one-step chunks, BNTT, dropout, a concat back edge resized by
+    # select_channels: after the taped forward pass, the memory still
+    # allocated is bounded by the arrays that the recorded backward closures
+    # read, each counted once, so no output that nothing reads (a bntt_seq
+    # drive, a concat or select_channels payload) is kept
+    spec = from_shorthand("2x8x8-3c4s1-3c6s1-3c6s1-3", T=4,
+                          tskips=[TSkip(origin=3, dest=2, delta_t=2)], bntt=True, reset="hard")
+    net = Network.build(spec, seed=0)
+    x = (np.random.default_rng(9).random((4, 32, 2, 8, 8)) < 0.3).astype(np.float64)
+
+    def forward():
+        return run_forward(net, x, mode="train", dropout=0.2, rng=np.random.default_rng(0))
+
+    reads: dict[int, np.ndarray] = {}
+    original = tensor.record
+
+    def record(inputs, out_data, backward_fn):
+        out = original(inputs, out_data, backward_fn)
+        kind = backward_fn.__qualname__.split(".", 1)[0]
+        for a in [] if kind in READS_NO_ARRAY else CLOSURE_READS[kind](inputs, out):
+            owner = a if a.base is None else a.base
+            reads[id(owner)] = owner
+        return out
+
+    with monkeypatch.context() as m:
+        for mod in (tensor, ops):
+            m.setattr(mod, "record", record)
+        with Tape() as tape:
+            forward()
+    kinds = Counter(node.backward.__qualname__.split(".", 1)[0] for node in tape.nodes)
+    assert {"bntt_seq", "dropout", "select_channels", "concat"} <= set(kinds)
+    bound = sum(a.nbytes for a in reads.values()) + len(tape.nodes) * NODE_SLACK
+    del reads, tape
+
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            result = forward()
+            grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tape.nodes) == sum(kinds.values()) and result.outputs.requires_grad
+    assert grown <= bound, (grown, bound)
 
 
 @pytest.mark.parametrize("taped", [False, True])

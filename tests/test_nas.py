@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from tempospike import graph, nas
 from tempospike.graph import ArchSpec, LayerSpec, param_count, validate
 from tempospike.nas import (
     KERNEL_EPS,
@@ -217,6 +218,28 @@ class TestRandomSearch:
             if better < 3:  # planted lands in the top 3 of 7
                 hits += 1
         assert hits >= 19
+
+    @pytest.mark.parametrize("budget", [None, 2000])
+    def test_param_table_built_at_most_twice_per_accepted_candidate(self, monkeypatch, budget):
+        # once when ``sample`` validates a draw and counts its parameters,
+        # once when ``Network.build`` validates the accepted spec and
+        # initializes them; a rejected draw builds it at most once
+        calls = {"param_table": 0, "_draw_spec": 0}
+
+        def counting(fn):
+            def counted(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(graph, "param_table", counting(graph.param_table))
+        monkeypatch.setattr(nas, "_draw_spec", counting(nas._draw_spec))
+        space = tiny_space(param_budget=budget)
+        ranked = random_search(space, 6, probe_batch(space), 6, master_seed=3)
+        draws, built = calls["_draw_spec"], calls["param_table"]
+        assert len(ranked) == 6 and built <= draws + 6
+        if budget is None:
+            assert (draws, built) == (6, 12)
 
 
 class TestKendallTau:
