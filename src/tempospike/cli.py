@@ -32,6 +32,8 @@ from .graph import (
 )
 from .metrics import energy_total, profile_network
 from .trainer import (
+    LOSSES,
+    SCHEDULERS,
     ConfigError,
     DivergenceError,
     TrainConfig,
@@ -262,12 +264,12 @@ def build_parser() -> _Parser:
         q.add_argument("--epochs", type=int, default=100)
         q.add_argument("--batch", type=int, default=64)
         q.add_argument("--lr", type=float, default=1e-3)
-        q.add_argument("--scheduler", choices=["cosine", "multistep"], default="cosine")
+        q.add_argument("--scheduler", choices=SCHEDULERS, default="cosine")
         q.add_argument("--lr-min", type=float, default=5e-6)
         q.add_argument("--gamma", type=float, default=0.7)
         q.add_argument("--every", type=int, default=10,
                        help="cosine: iterations per update; multistep: epochs per decay")
-        q.add_argument("--loss", choices=["cross_entropy", "mse"], default="cross_entropy")
+        q.add_argument("--loss", choices=LOSSES, default="cross_entropy")
         q.add_argument("--dropout", type=float, default=0.0)
         q.add_argument("--seed", type=int, default=0)
         q.add_argument("--bntt", action="store_true", default=None,
@@ -334,6 +336,9 @@ def main(argv=None) -> int:
         return EXIT_DIVERGENCE
     except TrainError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as err:  # sizes under MAX_DATASET_BYTES can still exceed RAM
+        print(f"error: out of memory: {str(err) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

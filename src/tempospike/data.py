@@ -61,7 +61,6 @@ class AudioSpikeStream:
 class BinningConfig:
     T: int
     window: float | None = None  # microseconds; None = span of the stream
-    polarity_channels: bool = True
     counts: bool = False
 
     def __post_init__(self):
@@ -207,8 +206,7 @@ def bin_events(stream: EventStream | AudioSpikeStream, cfg: BinningConfig) -> Sp
         window = float(stream.ts.max()) + 1.0 if len(stream) else 1.0
     if isinstance(stream, EventStream):
         w, h = stream.sensor_size
-        shape = (cfg.T, 2 if cfg.polarity_channels else 1, h, w)
-        cells = (stream.ps if cfg.polarity_channels else 0, stream.ys, stream.xs)
+        shape, cells = (cfg.T, 2, h, w), (stream.ps, stream.ys, stream.xs)
     else:
         shape, cells = (cfg.T, stream.num_units), (stream.units,)
     out = np.zeros(shape)

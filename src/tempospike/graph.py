@@ -354,36 +354,29 @@ def shortcut_apply(ws: ShortcutMatrix, x: Tensor) -> Tensor:
 
 @dataclass
 class SpikeStats:
-    """Spike counts per spiking layer, accumulated over forward passes."""
+    """Per LIF layer, one count per neuron: its spikes summed over the steps
+    and samples of every pass accumulated so far. Rates derive from it; a
+    layer's neuron count is its array's size."""
 
-    neurons: dict[int, int] = field(default_factory=dict)
-    spikes: dict[int, float] = field(default_factory=dict)
+    counts: dict[int, np.ndarray] = field(default_factory=dict)
     samples: int = 0
 
-    def track(self, layer: int, neuron_count: int) -> None:
-        self.neurons.setdefault(layer, neuron_count)
-        self.spikes.setdefault(layer, 0.0)
-
-    def add(self, layer: int, count: float) -> None:
-        self.spikes[layer] += count
-
     def accumulate(self, other: "SpikeStats") -> None:
-        for layer, n in other.neurons.items():
-            self.track(layer, n)
-            self.spikes[layer] += other.spikes[layer]
+        for layer, c in other.counts.items():
+            self.counts[layer] = self.counts.get(layer, 0) + c
         self.samples += other.samples
 
     def rates(self) -> dict[int, float]:
         """Average spikes per neuron per sample over the full window."""
         if self.samples == 0:
-            return {l: 0.0 for l in self.neurons}
-        return {l: self.spikes[l] / (self.neurons[l] * self.samples) for l in self.neurons}
+            return {l: 0.0 for l in self.counts}
+        return {l: float(c.sum()) / (c.size * self.samples) for l, c in self.counts.items()}
 
     def overall_rate(self) -> float:
-        total_n = sum(self.neurons.values())
+        total_n = sum(c.size for c in self.counts.values())
         if self.samples == 0 or total_n == 0:
             return 0.0
-        return sum(self.spikes.values()) / (total_n * self.samples)
+        return sum(float(c.sum()) for c in self.counts.values()) / (total_n * self.samples)
 
 
 @dataclass
@@ -501,14 +494,6 @@ def _chunk_steps(spec: ArchSpec) -> int:
     return 1 if active_tape() is not None else min(delays)
 
 
-def _spike_stats(net: Network, batch: int) -> SpikeStats:
-    stats = SpikeStats(samples=batch)
-    for i, layer in enumerate(net.spec.layers, start=1):
-        if layer.activation == "lif":
-            stats.track(i, _feature_count(net.shapes[i]))
-    return stats
-
-
 def _flatten_for(layer: LayerSpec, x: Tensor) -> Tensor:
     return reshape(x, (x.shape[0], -1)) if layer.kind == "dense" and x.ndim > 2 else x
 
@@ -568,7 +553,9 @@ def _run_chunked(net: Network, x: np.ndarray, training: bool, spike_mode: str,
     spec = net.spec
     T, batch = x.shape[:2]
     steps = _chunk_steps(spec)
-    stats = _spike_stats(net, batch)
+    stats = SpikeStats({l: np.zeros(_feature_count(net.shapes[l]))
+                        for l, layer in enumerate(spec.layers, start=1)
+                        if layer.activation == "lif"}, batch)
     kept = {e.origin for e in spec.tskips} | (set(collect or ()) - {0}) | {spec.depth}
     history: dict[int, list[Tensor]] = {l: [] for l in kept}
     carry: dict[int, object] = {}  # per layer, the state at the end of the last chunk
@@ -580,11 +567,11 @@ def _run_chunked(net: Network, x: np.ndarray, training: bool, spike_mode: str,
         h = Tensor(x[s:e].reshape(((e - s) * batch,) + x.shape[2:]))
         if 0 in history:
             history[0].append(h)
-        for l, layer in enumerate(spec.layers, start=1):
+        for l in range(1, spec.depth + 1):
             h = _layer_sequence(net, l, h, history, s, e, batch, carry, training, spike_mode,
                                 surr, dropout, rng)
-            if layer.activation == "lif":
-                stats.add(l, float(h.data.sum()))
+            if l in stats.counts:
+                stats.counts[l] += h.data.reshape(-1, stats.counts[l].size).sum(axis=0)
             if l in history:
                 history[l].append(h)
 

@@ -162,16 +162,20 @@ def loss(readout: Tensor, target, kind: str) -> Tensor:
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
+SCHEDULERS = ("cosine", "multistep")
+LOSSES = ("cross_entropy", "mse")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 64
     lr_init: float = 1e-3
-    scheduler: str = "cosine"  # "cosine" | "multistep"
+    scheduler: str = "cosine"  # one of SCHEDULERS
     lr_min: float = 5e-6
     gamma: float = 0.7
     step_every: int = 10
-    loss: str = "cross_entropy"
+    loss: str = "cross_entropy"  # one of LOSSES
     dropout: float = 0.0
     seed: int = 0
     bntt: bool | None = None  # None = leave the spec as written
@@ -195,6 +199,10 @@ class TrainConfig:
         if not 0.0 < self.surrogate_alpha < math.inf:
             raise ConfigError(f"surrogate_alpha must be finite and positive, "
                               f"got {self.surrogate_alpha}")
+        for name, kinds in (("scheduler", SCHEDULERS), ("loss", LOSSES)):
+            if getattr(self, name) not in kinds:
+                raise ConfigError(f"{name} must be one of {', '.join(kinds)}, "
+                                  f"got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -285,10 +293,8 @@ def train(spec: ArchSpec, train_ds: Dataset, cfg: TrainConfig,
         sched = CosineSchedule(cfg.lr_init, cfg.lr_min,
                                total_steps=cfg.epochs * steps_per_epoch,
                                update_every=cfg.step_every)
-    elif cfg.scheduler == "multistep":
-        sched = MultiStepSchedule(cfg.lr_init, cfg.gamma, cfg.step_every)
     else:
-        raise ValueError(f"unknown scheduler {cfg.scheduler!r}")
+        sched = MultiStepSchedule(cfg.lr_init, cfg.gamma, cfg.step_every)
 
     adam = AdamState()
     records: list[EpochRecord] = []

@@ -34,7 +34,8 @@ def run_steps(net: graph.Network, x: np.ndarray, mode: str = "eval",
 
     states = {l: LifState.zeros((batch,) + net.shapes[l])
               for l, layer in enumerate(spec.layers, start=1) if layer.activation == "lif"}
-    stats = graph._spike_stats(net, batch)
+    stats = graph.SpikeStats({l: np.zeros(graph._feature_count(net.shapes[l])) for l in states},
+                             batch)
     for t in range(T):
         for l, layer in enumerate(spec.layers, start=1):
             ff = merged = graph._flatten_for(layer, outs[l - 1][t])
@@ -52,7 +53,7 @@ def run_steps(net: graph.Network, x: np.ndarray, mode: str = "eval",
                 drive = graph._bntt(net, l, drive, t, t + 1, training)
             if layer.activation == "lif":
                 h, states[l] = lif_step(states[l], drive, net.lif_params(l), surr, spike_mode)
-                stats.add(l, float(h.data.sum()))
+                stats.counts[l] += h.data.reshape(batch, -1).sum(axis=0)
             elif layer.activation == "li":
                 h = li_scan(drive, net.params[f"L{l}.leak"], step(l, t - 1))
             elif layer.activation == "relu":

@@ -518,6 +518,20 @@ def test_divergence_exits_3(tmp_path, tiny_data, tiny_spec):
     assert code == EXIT_DIVERGENCE
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 7.50 GiB for an array", ""])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, tiny_spec, monkeypatch, capsys,
+                                             message):
+    # the error is raised, not provoked: nothing large is allocated
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("tempospike.cli.load_dataset", out_of_memory)
+    assert main(["train", "--spec", str(tiny_spec), "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "r")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: out of memory: {message or 'an allocation failed'}", err
+
+
 def npy_bytes(array: np.ndarray) -> bytes:
     buf = io.BytesIO()
     np.save(buf, array)

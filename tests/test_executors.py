@@ -79,6 +79,13 @@ def _close(a: np.ndarray, b: np.ndarray, floor: float = 0.0) -> bool:
     return float(np.abs(a - b).max(initial=0.0)) <= REL_TOL * scale
 
 
+def _assert_same_stats(got: graph.SpikeStats, ref: graph.SpikeStats, tag: str) -> None:
+    assert got.samples == ref.samples, tag
+    assert list(got.counts) == list(ref.counts), tag
+    for l, counts in ref.counts.items():
+        assert np.array_equal(got.counts[l], counts), f"{tag}: L{l} counts"
+
+
 def _traced(execute, net, x, target, training):
     layers = {l: None for l in range(1, net.spec.depth + 1)}
     with Tape() as tape:
@@ -121,7 +128,7 @@ def test_layer_major_matches_time_major():
             ref, ref_layers, ref_grads, _ = _traced(_time_major, ref_net, x, target, training)
             got, got_layers, got_grads, _ = _traced(_chunked, net, x, target, training)
             tag = f"trial {trial} ({'train' if training else 'eval'})"
-            assert got.stats == ref.stats, tag
+            _assert_same_stats(got.stats, ref.stats, tag)
             for l, layer in enumerate(spec.layers, start=1):
                 if layer.activation == "lif":
                     assert np.array_equal(got_layers[l], ref_layers[l]), f"{tag}: L{l} spikes"
@@ -184,7 +191,7 @@ def test_tape_free_chunks_match_time_major():
             got = run_forward(net, x, mode="train" if training else "eval", surr=SURR,
                               collect=got_layers)
             tag = f"trial {trial} ({'train' if training else 'eval'}, {steps} steps)"
-            assert got.stats == ref.stats, tag
+            _assert_same_stats(got.stats, ref.stats, tag)
             for l, layer in enumerate(spec.layers, start=1):
                 if layer.activation == "lif":
                     assert np.array_equal(got_layers[l], ref_layers[l]), f"{tag}: L{l} spikes"
@@ -216,7 +223,7 @@ def test_taped_backward_edges_match_time_major_exactly():
         ref, ref_layers, ref_grads, ref_norm = _traced(_time_major, ref_net, x, target, True)
         got, got_layers, got_grads, norm = _traced(_chunked, net, x, target, True)
         tag = f"trial {trial}"
-        assert got.stats == ref.stats, tag
+        _assert_same_stats(got.stats, ref.stats, tag)
         for l in got_layers:
             assert np.array_equal(got_layers[l], ref_layers[l]), f"{tag}: L{l}"
         seen["spikes"] += int(any(got_layers[l].any() for l, layer in
@@ -421,3 +428,41 @@ def test_backward_returns_exactly_the_parameters(tskips):
         loss = mse(readout_logits(result.outputs), Tensor(np.ones((4, 3))))
     grads = tape.backward(loss)
     assert set(map(id, grads)) == {id(p) for p in net.params.values()}
+
+
+@pytest.mark.parametrize("kind", ["one chunk", "tape-free chunks", "taped steps"])
+def test_spike_counts_sum_each_neurons_collected_spikes(kind):
+    # the record sums, per neuron, exactly the spikes the pass emits, for
+    # every chunk size; a layer silenced after build counts no spike at all,
+    # while the layer after it still spikes through a skip edge
+    edges = (TSkip(1, 3, 2, merge="concat"),)
+    if kind != "one chunk":
+        edges += (TSkip(3, 2, 3, merge="add"),)
+    spec = ArchSpec(input_shape=(2, 6, 6),
+                    layers=(LayerSpec("conv2d", 3, kernel=3, stride=1), LayerSpec("dense", 7),
+                            LayerSpec("dense", 5), LayerSpec("dense", 3, activation="li")),
+                    tskips=edges, T=8, threshold_init=0.3)
+    net = Network.build(spec, seed=5)
+    net.params["L2.threshold"].data[...] = 1e6
+    batch = 4
+    x = (np.random.default_rng(9).random((spec.T, batch) + spec.input_shape) < 0.5) * 1.0
+    layers = {l: None for l in (1, 2, 3)}
+    with Tape() if kind == "taped steps" else contextlib.nullcontext():
+        assert graph._chunk_steps(spec) == {"one chunk": 8, "tape-free chunks": 3,
+                                            "taped steps": 1}[kind]
+        stats = run_forward(net, x, surr=SURR, collect=layers).stats
+    assert stats.samples == batch
+    assert list(stats.counts) == [1, 2, 3]
+    for l, seq in layers.items():
+        n = int(np.prod(net.shapes[l]))
+        assert stats.counts[l].shape == (n,)
+        assert np.array_equal(stats.counts[l], seq.reshape(-1, n).sum(axis=0)), f"L{l}"
+    assert stats.counts[1].any() and stats.counts[3].any()
+    assert not stats.counts[2].any()
+    assert stats.rates()[2] == 0.0
+    total = graph.SpikeStats()
+    total.accumulate(stats)
+    total.accumulate(stats)
+    assert total.samples == 2 * batch
+    for l, counts in stats.counts.items():
+        assert np.array_equal(total.counts[l], 2 * counts), f"L{l}"

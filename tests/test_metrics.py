@@ -73,29 +73,20 @@ class TestEnergyArithmetic:
 
 class TestSpikeRate:
     def test_silent_layer(self):
-        stats = SpikeStats(samples=4)
-        stats.track(1, 10)
+        stats = SpikeStats({1: np.zeros(10)}, samples=4)
         assert stats.rates()[1] == 0.0
 
     def test_every_neuron_every_step(self):
-        stats = SpikeStats(samples=3)
-        stats.track(1, 10)
-        stats.add(1, 10 * 3 * 5)
+        stats = SpikeStats({1: np.full(10, 15.0)}, samples=3)
         assert stats.rates()[1] == pytest.approx(5.0)
 
     def test_half_neurons_once(self):
-        stats = SpikeStats(samples=1)
-        stats.track(1, 10)
-        stats.add(1, 5.0)
+        stats = SpikeStats({1: np.repeat([1.0, 0.0], 5)}, samples=1)
         assert stats.rates()[1] == pytest.approx(0.5)
 
     def test_accumulate_over_batches(self):
-        a = SpikeStats(samples=2)
-        a.track(1, 4)
-        a.add(1, 6.0)
-        b = SpikeStats(samples=3)
-        b.track(1, 4)
-        b.add(1, 4.0)
+        a = SpikeStats({1: np.array([3.0, 2.0, 1.0, 0.0])}, samples=2)
+        b = SpikeStats({1: np.array([0.0, 1.0, 1.0, 2.0])}, samples=3)
         a.accumulate(b)
         assert a.samples == 5
         assert a.rates()[1] == pytest.approx(10.0 / (4 * 5))
@@ -105,10 +96,7 @@ class TestProfileNetwork:
     def test_fan_in_and_kinds(self):
         spec = mlp_spec([700, 124, 288, 20], T=99,
                         tskips=[TSkip(0, 2, 16, merge="concat")])
-        stats = SpikeStats(samples=1)
-        stats.track(1, 124)
-        stats.add(1, 124.0)
-        stats.track(2, 288)
+        stats = SpikeStats({1: np.ones(124), 2: np.zeros(288)}, samples=1)
         profiles = profile_network(spec, stats)
         assert [p.kind for p in profiles] == ["snn", "snn", "snn"]
         assert profiles[0].fan_in == 700

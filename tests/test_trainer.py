@@ -220,7 +220,8 @@ class TestTrainLoop:
         ("grad_clip", math.nan), ("grad_clip", -1.0), ("surrogate_alpha", math.nan),
         ("surrogate_alpha", -2.0), ("surrogate_alpha", 0.0), ("surrogate_alpha", math.inf),
         ("lr_min", math.nan), ("lr_min", math.inf), ("lr_min", -5.0), ("gamma", math.nan),
-        ("gamma", math.inf), ("gamma", 0.0), ("gamma", -0.7),
+        ("gamma", math.inf), ("gamma", 0.0), ("gamma", -0.7), ("scheduler", "bogus"),
+        ("loss", "hinge"),
     ])
     def test_config_ranges_checked(self, field, value):
         with pytest.raises(ValueError, match=field):
