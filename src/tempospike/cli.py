@@ -321,6 +321,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:  # every command takes one
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (UsageError, ConfigError) as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -15,6 +15,7 @@ decoys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 import json
 import math
 from pathlib import Path
@@ -97,75 +98,157 @@ def _numbered(body: list[str], start: int) -> list[tuple[int, str]]:
     return [(n, line) for n, line in enumerate(map(str.strip, body), start + 1) if line]
 
 
-def _c_table(text: str, body: list[str], width: int) -> np.ndarray | None:
-    """``body`` as an (n, ``width``) int64 table read by numpy's C reader, or
-    None where that reader might read it differently from ``int()``. On ASCII
-    text it accepts a subset of what ``int()`` accepts, with the same values,
-    except that it strips U+001F as whitespace; on other text it reads some
-    letters as digits. Text holding either is left to ``int()``, and so is a
-    body without data (where the reader warns) and one that the reader
-    rejects, warns about or reads into another number of columns; a blank
-    line inside the body is a row it rejects."""
-    if not text.isascii() or "\x1f" in text or not any(map(str.strip, body)):
-        return None
+def _c_table(lines, width: int) -> np.ndarray | None:
+    """``lines`` (an iterable of lines) as an (n, ``width``) int64 table read
+    by numpy's C reader, or None where it rejects them, warns (as on input
+    without data) or reads another number of columns. The reader
+    skips empty lines and rejects a line of whitespace. On ASCII text it
+    accepts a subset of what ``int()`` accepts, with the same values, except
+    that it strips U+001F as whitespace; on other text it reads some letters
+    as digits."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(body, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+            table = np.loadtxt(lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
     except (ValueError, Warning):
         return None
     return table if table.shape[1] == width else None
 
 
-def _read_table(text: str, fields: tuple[str, ...], what: str, checks) -> tuple[np.ndarray, ...]:
-    """The int64 columns of ``text``'s CSV lines, each field read as ``int()``
-    reads it. Blank lines are skipped, and so is a first line whose first
-    field ``int()`` rejects (a header). ``checks`` are ``(test, message)``
-    pairs, ``test`` mapping the columns by field name to a mask of bad rows;
-    the first bad line, and on it the first failed check, raises
-    ``DataError``."""
+def _int_table(lines: list[str], width: int) -> np.ndarray:
+    """``lines`` as an (n, ``width``) int64 table, each field read by
+    ``int()``; ``ValueError`` or ``OverflowError`` if a line is not ``width``
+    such fields."""
+    if any(line.count(",") != width - 1 for line in lines):
+        raise ValueError
+    values = (field for line in lines for field in line.split(","))
+    return np.fromiter(map(int, values), np.int64, len(lines) * width).reshape(-1, width)
+
+
+def _text_table(text: str, width: int, what: str):
+    """``text`` read on its own: its table, its body lines, the number of
+    header lines before them, and the ``line N:`` error of its first line
+    that is not ``width`` integers (then the table holds the lines before
+    it), else None. The C reader reads a body of ASCII text without U+001F;
+    ``int()`` reads any other body, and one that the reader rejects."""
     lines = text.splitlines()
     start = 1 if lines and not _is_int(lines[0].split(",")[0]) else 0
     body = lines[start:]
+    if text.isascii() and "\x1f" not in text and any(map(str.strip, body)):
+        table = _c_table(body, width)
+        if table is not None:
+            return table, body, start, None
+    rows = _numbered(body, start)
+    kept = [line for _, line in rows]
+    try:
+        return _int_table(kept, width), body, start, None
+    except (ValueError, OverflowError):
+        i, error = next((i, error) for i, line in enumerate(kept)
+                        if (error := _row_error(line, width, what)))
+        return _int_table(kept[:i], width), body, start, f"line {rows[i][0]}: {error}"
+
+
+def _one_row_per_line(text: str) -> bool:
+    """Whether numpy's C reader reads every line of ``text`` after the first
+    as one row, and reads it as ``int()`` does: the text is ASCII without
+    U+001F, its only line break is ``\\n`` (``str.splitlines`` splits on
+    more), and no line after the first is empty, which the reader skips. A
+    line of spaces or tabs passes, and the reader rejects it."""
+    return (text.isascii() and "\n\n" not in text
+            and not any(c in text for c in "\r\v\f\x1c\x1d\x1e\x1f"))
+
+
+def _split_header(text: str) -> tuple[int, str]:
+    """The number of header lines (0 or 1) of a text that passes
+    ``_one_row_per_line``, and its body: the lines after them."""
+    head, _, rest = text.partition("\n")
+    return (0, text) if _is_int(head.split(",")[0]) else (1, rest)
+
+
+def _read_tables(texts: list[str], fields: tuple[str, ...], what: str, checks):
+    """The int64 columns of the CSV lines of ``texts``, joined in text order,
+    and each text's number of rows. Each field is read as ``int()`` reads
+    it. Blank lines are skipped, and so is a first line whose first field
+    ``int()`` rejects (a header). ``checks`` are ``(test, message)`` pairs,
+    ``test`` mapping the columns by field name, and ``"opens"`` to the
+    indices of the rows that open a text, to a mask of bad rows.
+
+    Where there are several texts, the lines of those that pass
+    ``_one_row_per_line`` go through one call to numpy's C reader, split one
+    text at a time. A lone text, any other text, and every text if that call
+    fails, is read on its own (``_text_table``). The first bad line in text
+    order (a line that is not ``len(fields)`` integers, or a row failing a
+    check, and on it the first failed check) ends the read: the columns and
+    counts then cover the texts before it, and the third result is its
+    ``line N:`` message, else None."""
     width = len(fields)
-    table = _c_table(text, body, width)
-    if table is None:
-        rows = _numbered(body, start)
-        try:
-            if any(line.count(",") != width - 1 for _, line in rows):
-                raise ValueError
-            values = (field for _, line in rows for field in line.split(","))
-            table = np.fromiter(map(int, values), np.int64, len(rows) * width).reshape(-1, width)
-        except (ValueError, OverflowError):
-            lineno, error = next((n, error) for n, line in rows
-                                 if (error := _row_error(line, width, what)))
-            # the well-formed lines before it may fail a check first
-            _read_table("\n".join(lines[:lineno - 1]), fields, what, checks)
-            raise DataError(f"line {lineno}: {error}") from None
-    columns = dict(zip(fields, table.T))
+    # (header lines, body) of each text the joint call reads, else None
+    parts = [_split_header(text) if len(texts) > 1 and _one_row_per_line(text) else None
+             for text in texts]
+    bodies = [part[1] for part in parts if part and part[1]]
+    joint = (_c_table(chain.from_iterable(map(str.splitlines, bodies)), width) if bodies
+             else np.empty((0, width), np.int64))
+    tables, numbering, error, row, alone = [], [], None, 0, False
+    for text, part in zip(texts, parts):
+        if joint is not None and part is not None:
+            start, body = part
+            length = body.count("\n") + (not body.endswith("\n")) if body else 0
+            tables.append(joint[row:row + length])
+            numbering.append((start, None))
+            row += length
+            continue
+        table, lines, start, error = _text_table(text, width, what)
+        alone = True
+        tables.append(table)
+        numbering.append((start, lines))
+        if error:
+            break
+    table = np.concatenate(tables) if alone else joint
+    counts = np.array([len(t) for t in tables], dtype=np.int64)
+    ends = counts.cumsum()
+    columns = dict(zip(fields, table.T), opens=(ends - counts)[counts > 0])
     bad = np.array([test(columns) for test, _ in checks])
     if bad.any():
         row, check = divmod(int(bad.T.argmax()), len(checks))
-        raise DataError(f"line {_numbered(body, start)[row][0]}: "
-                        + checks[check][1].format(**dict(zip(fields, table[row]))))
-    return tuple(table.T)
+        k = int(np.searchsorted(ends, row, side="right"))
+        start, lines = numbering[k]
+        row_in_text = row - int(ends[k] - counts[k])
+        lineno = (start + row_in_text + 1 if lines is None
+                  else _numbered(lines, start)[row_in_text][0])
+        error = f"line {lineno}: " + checks[check][1].format(**dict(zip(fields, table[row])))
+    else:
+        k = len(tables) - (error is not None)
+    end = int(ends[k - 1]) if k else 0
+    return tuple(table[:end].T), counts[:k], error
 
 
-# a decrease is first seen where t drops below the running maximum
+def _drops(columns) -> np.ndarray:
+    """The rows whose ``t`` is below that of the row before them in the same
+    text; the first is the first row whose ``t`` is below the largest before
+    it in its text."""
+    t = columns["t"]
+    drops = np.zeros(len(t), dtype=bool)
+    np.less(t[1:], t[:-1], out=drops[1:])
+    drops[columns["opens"]] = False
+    return drops
+
+
 _TIME_CHECKS = ((lambda c: c["t"] < 0, "negative timestamp {t}"),
-                (lambda c: c["t"] < np.maximum.accumulate(c["t"]),
-                 "timestamps must be non-decreasing"))
+                (_drops, "timestamps must be non-decreasing"))
+_SPIKE_CHECKS = ((lambda c: c["x"] < 0, "negative unit index"), *_TIME_CHECKS)
 
 
 def parse_events(text: str | bytes, sensor_size: tuple[int, int] | None = None) -> EventStream:
     """Parse visual AER CSV rows ``x,y,t_us,p``; header line optional."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    xs, ys, ts, ps = _read_table(text, ("x", "y", "t", "p"), "event", (
+    (xs, ys, ts, ps), _, error = _read_tables([text], ("x", "y", "t", "p"), "event", (
         (lambda c: (c["p"] != 0) & (c["p"] != 1), "polarity must be 0 or 1, got {p}"),
         *_TIME_CHECKS,
         (lambda c: (c["x"] < 0) | (c["y"] < 0), "negative coordinate"),
     ))
+    if error:
+        raise DataError(error)
     if sensor_size is None:
         sensor_size = (int(xs.max()) + 1, int(ys.max()) + 1) if len(xs) else (1, 1)
     elif len(xs) and (xs.max() >= sensor_size[0] or ys.max() >= sensor_size[1]):
@@ -175,10 +258,9 @@ def parse_events(text: str | bytes, sensor_size: tuple[int, int] | None = None) 
 
 def parse_audio_events(text: str, num_units: int | None = None) -> AudioSpikeStream:
     """Parse audio spike CSV rows ``x,t_us``."""
-    units, ts = _read_table(text, ("x", "t"), "spike", (
-        (lambda c: c["x"] < 0, "negative unit index"),
-        *_TIME_CHECKS,
-    ))
+    (units, ts), _, error = _read_tables([text], ("x", "t"), "spike", _SPIKE_CHECKS)
+    if error:
+        raise DataError(error)
     if num_units is None:
         num_units = int(units.max()) + 1 if len(units) else 1
     elif len(units) and units.max() >= num_units:
@@ -186,17 +268,22 @@ def parse_audio_events(text: str, num_units: int | None = None) -> AudioSpikeStr
     return AudioSpikeStream(units, ts, num_units)
 
 
-def _time_bins(ts: np.ndarray, window: float, T: int) -> np.ndarray:
-    t_max = int(ts.max()) if len(ts) else 0
+def _cover_error(t_max: int, window: float, T: int) -> str | None:
+    """Why a stream whose latest timestamp is ``t_max`` cannot be binned into
+    ``T`` steps of ``window``, or None."""
     if t_max > window:
-        raise DataError(f"window {window} does not cover stream (max t = {t_max})")
+        return f"window {window} does not cover stream (max t = {t_max})"
     # t*T is an exact integer, in int64 and float64 alike below 2**53, so an
     # event on a bin boundary is not rounded into the bin before it, as
     # t / (window/T) can be
     if t_max * T > 2**53:
-        raise DataError(f"timestamps up to {t_max} are too large to bin into {T} steps")
-    bins = np.floor(ts * T / window).astype(np.int64)
-    return np.minimum(bins, T - 1)
+        return f"timestamps up to {t_max} are too large to bin into {T} steps"
+    return None
+
+
+def _time_bins(ts: np.ndarray, window: float, T: int) -> np.ndarray:
+    """The steps of ``ts``, which ``_cover_error`` has passed."""
+    return np.minimum(np.floor(ts * T / window).astype(np.int64), T - 1)
 
 
 def bin_events(stream: EventStream | AudioSpikeStream, cfg: BinningConfig) -> SpikeTensor:
@@ -204,6 +291,9 @@ def bin_events(stream: EventStream | AudioSpikeStream, cfg: BinningConfig) -> Sp
     window = cfg.window
     if window is None:
         window = float(stream.ts.max()) + 1.0 if len(stream) else 1.0
+    error = _cover_error(int(stream.ts.max()) if len(stream) else 0, window, cfg.T)
+    if error:
+        raise DataError(error)
     if isinstance(stream, EventStream):
         w, h = stream.sensor_size
         shape, cells = (cfg.T, 2, h, w), (stream.ps, stream.ys, stream.xs)
@@ -309,6 +399,8 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
 
 
 def load_dataset(manifest_path) -> Dataset:
+    """Read a manifest and all its sample files into one [N, T, units] tensor.
+    An error in a sample names its file as the manifest gives it."""
     path = Path(manifest_path)
     if path.is_dir():
         path = path / "manifest.json"
@@ -321,20 +413,35 @@ def load_dataset(manifest_path) -> Dataset:
         if units < 1:
             raise DataError(f"num_units must be >= 1, got {units}")
         window = typed(manifest.get("window_us", T), float, "window_us")
-        cfg = BinningConfig(T=T, window=window)
+        BinningConfig(T=T, window=window)  # checks T and the window
         samples = manifest["samples"]
         size = len(samples) * T * units * 8
         if size > MAX_DATASET_BYTES:
             raise DataError(f"{len(samples)} samples of T={T} x {units} units need {size} "
                             f"bytes, above the limit of {MAX_DATASET_BYTES}")
-        inputs, labels = [], []
-        for entry in samples:
-            text = (path.parent / entry["file"]).read_text(encoding="utf-8")
-            stream = parse_audio_events(text, num_units=units)
-            inputs.append(bin_events(stream, cfg))
-            labels.append(typed(entry["label"], int, "label"))
-    except (OSError, AttributeError, KeyError, TypeError, ValueError) as err:
+        labels = np.array([typed(entry["label"], int, "label") for entry in samples],
+                          dtype=np.int64)
+        files = [entry["file"] for entry in samples]
+        inputs = np.zeros((len(files), T, units))
+        (unit_of, ts), counts, error = _read_tables(
+            [(path.parent / name).read_text(encoding="utf-8") for name in files],
+            ("x", "t"), "spike", _SPIKE_CHECKS)
+    except (OSError, AttributeError, KeyError, TypeError, ValueError, OverflowError) as err:
         raise DataError(f"cannot load dataset {path}: {err!r}") from None
-    return Dataset(inputs=np.stack(inputs) if inputs else np.zeros((0, T, units)),
-                   labels=np.asarray(labels, dtype=np.int64),
-                   meta=manifest.get("meta", {}))
+    # each sample's own checks, in file order, over the files read before a
+    # bad line; ``np.maximum.reduceat`` would read an empty file as one row
+    ends = counts.cumsum()
+    nonempty = counts > 0
+    top_unit = np.full(len(counts), -1)
+    top_unit[nonempty] = np.maximum.reduceat(unit_of, (ends - counts)[nonempty])
+    last_t = np.zeros(len(counts), dtype=np.int64)
+    last_t[nonempty] = ts[ends[nonempty] - 1]  # a file's timestamps do not decrease
+    for name, top, t_max in zip(files, top_unit.tolist(), last_t.tolist()):
+        failure = (f"unit index exceeds num_units={units}" if top >= units
+                   else _cover_error(t_max, window, T))
+        if failure:
+            raise DataError(f"sample {name!r}, {failure}")
+    if error:
+        raise DataError(f"sample {files[len(counts)]!r}, {error}")
+    inputs[np.repeat(np.arange(len(counts)), counts), _time_bins(ts, window, T), unit_of] = 1.0
+    return Dataset(inputs=inputs, labels=labels, meta=manifest.get("meta", {}))

@@ -186,6 +186,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "step_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.lr_init < math.inf:
             raise ConfigError(f"lr_init must be finite and positive, got {self.lr_init}")
         if not 0.0 <= self.lr_min < math.inf:

@@ -4,11 +4,18 @@ have changed since: a first line is a header when ``int()`` rejects its
 first field, and a field is read as ``int()`` reads it, without first being
 stripped with ``str.strip``, which also removes U+001F. ``int()`` strips all
 other whitespace itself and rejects U+001F; U+001C to U+001E never reach a
-field, because ``splitlines`` splits lines on them."""
+field, because ``splitlines`` splits lines on them.
+
+``load_dataset_per_file`` is the manifest loader from before the joint read
+of all sample files, kept as the reference for ``data.load_dataset``."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 
-from tempospike.data import AudioSpikeStream, DataError, EventStream
+from tempospike import data
+from tempospike.data import AudioSpikeStream, BinningConfig, DataError, Dataset, EventStream
 
 
 def _iter_rows(text: str, n_fields: int, what: str):
@@ -87,3 +94,21 @@ def parse_audio_events(text: str, num_units: int | None = None) -> AudioSpikeStr
         raise DataError(f"unit index exceeds num_units={num_units}")
     return AudioSpikeStream(units, ts, num_units)
 
+
+def load_dataset_per_file(manifest_path) -> Dataset:
+    """Each sample file parsed and binned on its own, then the samples
+    stacked; an error in a sample is prefixed with its file's name."""
+    path = Path(manifest_path)
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    T, units = manifest["T"], manifest["num_units"]
+    cfg = BinningConfig(T=T, window=float(manifest.get("window_us", T)))
+    inputs, labels = [], []
+    for entry in manifest["samples"]:
+        text = (path.parent / entry["file"]).read_text(encoding="utf-8")
+        try:
+            inputs.append(data.bin_events(data.parse_audio_events(text, num_units=units), cfg))
+        except DataError as err:
+            raise DataError(f"sample {entry['file']!r}, {err}") from None
+        labels.append(entry["label"])
+    return Dataset(inputs=np.stack(inputs) if inputs else np.zeros((0, T, units)),
+                   labels=np.asarray(labels, dtype=np.int64), meta=manifest.get("meta", {}))

@@ -411,6 +411,8 @@ BROKEN_INPUTS = {
         _spec_file(tmp), _edit_manifest(data / "train", _set_first_label(True)))),
     "label above the readout width": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp), _edit_manifest(data / "train", _set_first_label(12)))),
+    "label beyond int64": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", _set_first_label(2**63)))),
     "negative label": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp), _edit_manifest(data / "train", _set_first_label(-1)))),
     "train --lr 0": (EXIT_USAGE, lambda tmp, data: _train(
@@ -490,6 +492,14 @@ BROKEN_INPUTS = {
     "synth --n -1": (EXIT_USAGE, lambda tmp, data: _synth("--n", "-1")),
     "synth --n-test -1": (EXIT_USAGE, lambda tmp, data: _synth("--n-test", "-1")),
     "synth --n 10**12": (EXIT_USAGE, lambda tmp, data: _synth("--n", str(10**12))),
+    "synth --seed -1": (EXIT_USAGE, lambda tmp, data: _synth("--seed", "-1")),
+    "train --seed -1": (EXIT_USAGE, lambda tmp, data: _train(
+        _spec_file(tmp), data / "train", "--seed", "-1")),
+    "search --seed -1": (EXIT_USAGE, lambda tmp, data: _search(
+        _space_file(tmp), "--seed", "-1")),
+    "ablate --seed -1": (EXIT_USAGE, lambda tmp, data: _ablate(tmp, data, "--seed", "-1")),
+    "energy --seed -1": (EXIT_USAGE, lambda tmp, data: _energy(
+        _checkpoint(tmp), data, "--seed", "-1")),
 }
 
 

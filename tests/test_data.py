@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+import tempfile
 import warnings
 
 import numpy as np
@@ -33,10 +36,10 @@ BEYOND_INT64 = {str(v) for v in ODD_VALUES if not -2**63 <= v < 2**63}
 
 
 @st.composite
-def event_csv(draw):
+def event_csv(draw, widths=(2, 4)):
     """A visual (4 fields) or audio (2 fields) CSV, valid or corrupted, and
     whether a data line holds an integer beyond int64."""
-    width = draw(st.sampled_from([2, 4]))
+    width = draw(st.sampled_from(widths))
     ts = sorted(draw(st.lists(st.integers(0, 60), max_size=10)))
     rows = [[str(v) for v in ([draw(st.integers(0, 5)), draw(st.integers(0, 5)), t,
                                 draw(st.integers(0, 1))] if width == 4
@@ -337,3 +340,77 @@ class TestRoundTrip:
         save_dataset(ds, tmp_path / "b")
         for name in ("manifest.json", "sample_00000.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@st.composite
+def valid_spike_csv(draw, num_units, window):
+    """An audio CSV whose rows pass the parser; a unit index now and then
+    equals ``num_units`` and a timestamp ``window`` + 1, and timestamps often
+    equal ``window``. A header, CRLF or CR endings, a blank line and a final
+    newline each come and go."""
+    def now_and_then(value):
+        return st.integers(0, 15).map(lambda n: value if n == 0 else None)
+
+    ts = sorted(draw(st.lists(st.integers(0, window) | st.just(window), max_size=8)))
+    lines = [f"{draw(now_and_then(num_units)) or draw(st.integers(0, num_units - 1))},"
+             f"{draw(now_and_then(window + 1)) or t}" for t in ts]
+    if lines and draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " "])))
+    if draw(st.booleans()):
+        lines.insert(0, "x,t")
+    sep = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    return sep.join(lines) + (sep if draw(st.booleans()) else "")
+
+
+@st.composite
+def manifest_case(draw):
+    """The fields of a manifest of 1 to 6 audio samples and their texts."""
+    num_units, T = draw(st.integers(1, 10)), draw(st.integers(1, 8))
+    window = draw(st.integers(1, 70))
+    texts = draw(st.lists(valid_spike_csv(num_units, window)
+                          | event_csv(widths=(2,)).map(lambda case: case[1])
+                          | st.sampled_from(["", "x,t", "x,t\n", "\n", "x,t\r\n"]),
+                          min_size=1, max_size=6))
+    return num_units, T, window, texts
+
+
+def _write_manifest(folder: Path, num_units: int, T: int, window: int, texts) -> Path:
+    samples = []
+    for i, text in enumerate(texts):
+        (folder / f"sample_{i:05d}.csv").write_text(text, encoding="utf-8")
+        samples.append({"file": f"sample_{i:05d}.csv", "label": i % 3})
+    path = folder / "manifest.json"
+    path.write_text(json.dumps({"format": "audio-csv", "num_units": num_units, "T": T,
+                                "window_us": window, "samples": samples}))
+    return path
+
+
+def _load_outcome(load, path):
+    try:
+        ds = load(path)
+    except DataError as err:
+        return "error", str(err)
+    return "ok", ds.inputs.shape, ds.inputs.dtype, ds.inputs.tobytes(), ds.labels.tobytes()
+
+
+class TestLoadDataset:
+    @given(manifest_case())
+    @settings(max_examples=800, deadline=None, derandomize=True)
+    def test_joint_read_matches_per_file_loop(self, case):
+        with tempfile.TemporaryDirectory() as folder:
+            path = _write_manifest(Path(folder), *case)
+            assert (_load_outcome(load_dataset, path)
+                    == _load_outcome(oracle.load_dataset_per_file, path))
+
+    def test_zero_samples(self, tmp_path):
+        path = _write_manifest(tmp_path, 4, 6, 6, [])
+        expected = _load_outcome(oracle.load_dataset_per_file, path)
+        assert _load_outcome(load_dataset, path) == expected
+        assert expected[1] == (0, 6, 4)
+
+    def test_error_names_the_sample_file_and_line(self, tmp_path):
+        save_dataset(gen_delayed_recall(2, 6, 6, classes=3, seed=1), tmp_path)
+        (tmp_path / "sample_00003.csv").write_text("0,5\n1,3\n")
+        with pytest.raises(DataError, match=r"^sample 'sample_00003\.csv', line 2: "
+                                            r"timestamps must be non-decreasing$"):
+            load_dataset(tmp_path)

@@ -221,7 +221,7 @@ class TestTrainLoop:
         ("surrogate_alpha", -2.0), ("surrogate_alpha", 0.0), ("surrogate_alpha", math.inf),
         ("lr_min", math.nan), ("lr_min", math.inf), ("lr_min", -5.0), ("gamma", math.nan),
         ("gamma", math.inf), ("gamma", 0.0), ("gamma", -0.7), ("scheduler", "bogus"),
-        ("loss", "hinge"),
+        ("loss", "hinge"), ("seed", -1),
     ])
     def test_config_ranges_checked(self, field, value):
         with pytest.raises(ValueError, match=field):
