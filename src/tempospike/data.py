@@ -3,7 +3,7 @@
 Visual event streams arrive as CSV rows ``x,y,t_us,p`` (pixel coordinates,
 microsecond timestamp, polarity); audio spike streams as ``x,t_us`` (unit
 index, timestamp). Binning collapses a stream onto a [time, ...] tensor with
-binary cells by default: a cell is 1 if at least one event fell into it.
+binary cells: a cell is 1 if at least one event fell into it.
 
 The delayed-recall generator is the desk-scale stand-in for long-range
 temporal tasks: a one-hot class cue appears at a random step, a trigger marks
@@ -15,7 +15,7 @@ decoys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 import json
 import math
 from pathlib import Path
@@ -62,7 +62,6 @@ class AudioSpikeStream:
 class BinningConfig:
     T: int
     window: float | None = None  # microseconds; None = span of the stream
-    counts: bool = False
 
     def __post_init__(self):
         if self.T < 1:
@@ -90,6 +89,16 @@ def _is_int(field: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _body(text: str) -> tuple[list[str], int]:
+    """The lines of ``text`` (``str.splitlines``) after its header, and the
+    number of header lines: 1 if ``int()`` rejects the first field of the
+    first line, else 0."""
+    lines = text.splitlines()
+    start = 1 if lines and not _is_int(lines[0].split(",")[0]) else 0
+    del lines[:start]
+    return lines, start
 
 
 def _numbered(body: list[str], start: int) -> list[tuple[int, str]]:
@@ -125,85 +134,65 @@ def _int_table(lines: list[str], width: int) -> np.ndarray:
     return np.fromiter(map(int, values), np.int64, len(lines) * width).reshape(-1, width)
 
 
-def _text_table(text: str, width: int, what: str):
-    """``text`` read on its own: its table, its body lines, the number of
-    header lines before them, and the ``line N:`` error of its first line
-    that is not ``width`` integers (then the table holds the lines before
-    it), else None. The C reader reads a body of ASCII text without U+001F;
-    ``int()`` reads any other body, and one that the reader rejects."""
-    lines = text.splitlines()
-    start = 1 if lines and not _is_int(lines[0].split(",")[0]) else 0
-    body = lines[start:]
-    if text.isascii() and "\x1f" not in text and any(map(str.strip, body)):
-        table = _c_table(body, width)
-        if table is not None:
-            return table, body, start, None
+def _text_table(text: str, screened: bool, width: int, what: str):
+    """``text`` read on its own: its table, and the ``line N:`` error of its
+    first line that is not ``width`` integers (then the table holds the
+    lines before it), else None. The C reader reads the body of a
+    ``screened`` text; ``int()`` reads any other body, and one that the
+    reader rejects."""
+    body, start = _body(text)
+    table = _c_table(body, width) if screened else None
+    if table is not None:
+        return table, None
     rows = _numbered(body, start)
     kept = [line for _, line in rows]
     try:
-        return _int_table(kept, width), body, start, None
+        return _int_table(kept, width), None
     except (ValueError, OverflowError):
         i, error = next((i, error) for i, line in enumerate(kept)
                         if (error := _row_error(line, width, what)))
-        return _int_table(kept[:i], width), body, start, f"line {rows[i][0]}: {error}"
-
-
-def _one_row_per_line(text: str) -> bool:
-    """Whether numpy's C reader reads every line of ``text`` after the first
-    as one row, and reads it as ``int()`` does: the text is ASCII without
-    U+001F, its only line break is ``\\n`` (``str.splitlines`` splits on
-    more), and no line after the first is empty, which the reader skips. A
-    line of spaces or tabs passes, and the reader rejects it."""
-    return (text.isascii() and "\n\n" not in text
-            and not any(c in text for c in "\r\v\f\x1c\x1d\x1e\x1f"))
-
-
-def _split_header(text: str) -> tuple[int, str]:
-    """The number of header lines (0 or 1) of a text that passes
-    ``_one_row_per_line``, and its body: the lines after them."""
-    head, _, rest = text.partition("\n")
-    return (0, text) if _is_int(head.split(",")[0]) else (1, rest)
+        return _int_table(kept[:i], width), f"line {rows[i][0]}: {error}"
 
 
 def _read_tables(texts: list[str], fields: tuple[str, ...], what: str, checks):
     """The int64 columns of the CSV lines of ``texts``, joined in text order,
     and each text's number of rows. Each field is read as ``int()`` reads
     it. Blank lines are skipped, and so is a first line whose first field
-    ``int()`` rejects (a header). ``checks`` are ``(test, message)`` pairs,
-    ``test`` mapping the columns by field name, and ``"opens"`` to the
-    indices of the rows that open a text, to a mask of bad rows.
+    ``int()`` rejects (a header, ``_body``). ``checks`` are ``(test,
+    message)`` pairs, ``test`` mapping the columns by field name, and
+    ``"opens"`` to the indices of the rows that open a text, to a mask of bad
+    rows.
 
-    Where there are several texts, the lines of those that pass
-    ``_one_row_per_line`` go through one call to numpy's C reader, split one
-    text at a time. A lone text, any other text, and every text if that call
-    fails, is read on its own (``_text_table``). The first bad line in text
-    order (a line that is not ``len(fields)`` integers, or a row failing a
-    check, and on it the first failed check) ends the read: the columns and
-    counts then cover the texts before it, and the third result is its
-    ``line N:`` message, else None."""
+    The bodies of the texts that are ASCII without U+001F go through one call
+    to numpy's C reader, chained one text at a time. Any other text, and
+    every text if that call fails, is read on its own (``_text_table``). The
+    first bad line in text order (a line that is not ``len(fields)``
+    integers, or a row failing a check, and on it the first failed check)
+    ends the read: the columns and counts then cover the texts before it,
+    and the third result is its ``line N:`` message, else None."""
     width = len(fields)
-    # (header lines, body) of each text the joint call reads, else None
-    parts = [_split_header(text) if len(texts) > 1 and _one_row_per_line(text) else None
-             for text in texts]
-    bodies = [part[1] for part in parts if part and part[1]]
-    joint = (_c_table(chain.from_iterable(map(str.splitlines, bodies)), width) if bodies
-             else np.empty((0, width), np.int64))
-    tables, numbering, error, row, alone = [], [], None, 0, False
-    for text, part in zip(texts, parts):
-        if joint is not None and part is not None:
-            start, body = part
-            length = body.count("\n") + (not body.endswith("\n")) if body else 0
-            tables.append(joint[row:row + length])
-            numbering.append((start, None))
-            row += length
+    screened = [text.isascii() and "\x1f" not in text for text in texts]
+    joint_counts = []  # rows of each screened text; the reader skips empty lines
+
+    def joint_body(text):
+        body = _body(text)[0]
+        joint_counts.append(len(body) - body.count(""))
+        return body
+
+    joint = _c_table(chain.from_iterable(map(joint_body, compress(texts, screened))), width)
+    if joint is not None:
+        pieces = iter(np.split(joint, np.cumsum(joint_counts[:-1], dtype=np.int64)))
+    tables, error = [], None
+    for text, passed in zip(texts, screened):
+        if joint is not None and passed:
+            tables.append(next(pieces))
             continue
-        table, lines, start, error = _text_table(text, width, what)
-        alone = True
+        table, error = _text_table(text, passed, width, what)
         tables.append(table)
-        numbering.append((start, lines))
         if error:
             break
-    table = np.concatenate(tables) if alone else joint
+    table = (joint if joint is not None and all(screened)
+             else np.concatenate([np.empty((0, width), np.int64), *tables]))
     counts = np.array([len(t) for t in tables], dtype=np.int64)
     ends = counts.cumsum()
     columns = dict(zip(fields, table.T), opens=(ends - counts)[counts > 0])
@@ -211,10 +200,7 @@ def _read_tables(texts: list[str], fields: tuple[str, ...], what: str, checks):
     if bad.any():
         row, check = divmod(int(bad.T.argmax()), len(checks))
         k = int(np.searchsorted(ends, row, side="right"))
-        start, lines = numbering[k]
-        row_in_text = row - int(ends[k] - counts[k])
-        lineno = (start + row_in_text + 1 if lines is None
-                  else _numbered(lines, start)[row_in_text][0])
+        lineno = _numbered(*_body(texts[k]))[row - int(ends[k] - counts[k])][0]
         error = f"line {lineno}: " + checks[check][1].format(**dict(zip(fields, table[row])))
     else:
         k = len(tables) - (error is not None)
@@ -300,9 +286,7 @@ def bin_events(stream: EventStream | AudioSpikeStream, cfg: BinningConfig) -> Sp
     else:
         shape, cells = (cfg.T, stream.num_units), (stream.units,)
     out = np.zeros(shape)
-    np.add.at(out, (_time_bins(stream.ts, window, cfg.T), *cells), 1.0)
-    if not cfg.counts:
-        out = (out > 0).astype(np.float64)
+    out[(_time_bins(stream.ts, window, cfg.T), *cells)] = 1.0
     return out
 
 
@@ -371,10 +355,13 @@ def inject_noise(x: SpikeTensor, rate: float, seed: int = 0) -> SpikeTensor:
 
 def save_dataset(ds: Dataset, out_dir) -> Path:
     """Write one CSV per sample (unit,t rows) and a manifest listing labels."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if ds.inputs.ndim != 3:
         raise DataError("only [N, T, units] datasets serialize to audio CSV")
+    # one sample at a time, so that no mask the size of the dataset exists
+    if any(((x != 0) & (x != 1)).any() for x in ds.inputs):
+        raise DataError("only inputs of 0 and 1 serialize to audio CSV")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     n, T, units = ds.inputs.shape
     entries = []
     for i in range(n):
@@ -396,6 +383,14 @@ def save_dataset(ds: Dataset, out_dir) -> Path:
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path
+
+
+def _read_sample(folder: Path, name) -> str:
+    """The text of sample file ``name``, or a ``DataError`` that names it."""
+    try:
+        return (folder / name).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise DataError(f"sample {name!r}, cannot read: {err}") from None
 
 
 def load_dataset(manifest_path) -> Dataset:
@@ -424,8 +419,8 @@ def load_dataset(manifest_path) -> Dataset:
         files = [entry["file"] for entry in samples]
         inputs = np.zeros((len(files), T, units))
         (unit_of, ts), counts, error = _read_tables(
-            [(path.parent / name).read_text(encoding="utf-8") for name in files],
-            ("x", "t"), "spike", _SPIKE_CHECKS)
+            [_read_sample(path.parent, name) for name in files], ("x", "t"), "spike",
+            _SPIKE_CHECKS)
     except (OSError, AttributeError, KeyError, TypeError, ValueError, OverflowError) as err:
         raise DataError(f"cannot load dataset {path}: {err!r}") from None
     # each sample's own checks, in file order, over the files read before a

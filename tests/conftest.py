@@ -1,14 +1,22 @@
-"""Shared test helpers: the central finite-difference gradient oracle and a
-generator of random small architectures for gradient sweeps."""
+"""Shared test helpers: the central finite-difference gradient oracle, a
+generator of random small architectures for gradient sweeps, and the
+hypothesis settings profile of every property test."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tempospike.engine import SurrogateConfig, Tape, Tensor, mse
 from tempospike.graph import ArchSpec, LayerSpec, Network, TSkip, run_forward
 from tempospike.trainer import readout_logits
+
+
+# every property test draws the same examples on every run, with no time
+# limit per example and no example database carried between runs
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 def numeric_grad(f, tensor: Tensor, eps: float = 1e-5) -> np.ndarray:

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +288,12 @@ def _first_sample(data_dir, text):
     return _edit_manifest(data_dir, lambda m: m["samples"][0].update(file="edited.csv"))
 
 
+def _spoil_first_sample(data_dir, spoil):
+    """``data_dir`` after ``spoil`` is called on its first sample file's path."""
+    spoil(data_dir / json.loads((data_dir / "manifest.json").read_text())["samples"][0]["file"])
+    return data_dir
+
+
 def _spec_file(tmp_path, **fields):
     path = tmp_path / "edited_spec.json"
     path.write_text(json.dumps({**spec_to_dict(mlp_spec([4, 8, 3], T=6)), **fields}))
@@ -405,6 +412,13 @@ BROKEN_INPUTS = {
                                         lambda m: m["samples"][0].update(file="absent.csv")))),
     "sample timestamp beyond int64": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp), _first_sample(data / "train", "0,1\n1,9223372036854775808\n"))),
+    "sample file missing": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _spoil_first_sample(data / "train", Path.unlink))),
+    "sample file not UTF-8": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _spoil_first_sample(data / "train",
+                                             lambda p: p.write_bytes(b"0,1\n\xff\n")))),
+    "sample file a directory": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _spoil_first_sample(data / "train", lambda p: (p.unlink(), p.mkdir())))),
     "label a fraction": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp), _edit_manifest(data / "train", _set_first_label(1.7)))),
     "label a boolean": (EXIT_VALIDATION, lambda tmp, data: _train(

@@ -231,7 +231,7 @@ class TestSpike:
         assert np.all(np.isfinite(g))
 
     @given(z=st.floats(-1e6, 1e6), alpha=st.floats(0.1, 50.0))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_surrogate_even_positive_peaked(self, z, alpha):
         g_pos = surrogate_grad(np.array(z), alpha)
         g_neg = surrogate_grad(np.array(-z), alpha)
@@ -398,7 +398,7 @@ class TestWindow:
         check_grads(lambda: square(window(bs, start, rows) * w).sum(), bs, tol=1e-6)
 
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_backward_is_the_adjoint(self, data):
         # <window(x), g> = <x, backward(g)>; small integers keep both sums exact
         sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))

@@ -101,7 +101,7 @@ class TestDynamics:
             lif_step(LifState.zeros((1, 3)), Tensor(np.zeros((1, 4))), params, SURR)
 
     @given(leak=st.floats(0.05, 0.95), u0=st.floats(-2.0, 2.0))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_decay_property(self, leak, u0):
         trace = run_chain([u0], [[0.0]] * 10, leak=leak, threshold=1e9)
         u10 = trace[-1][0].item()
