@@ -292,7 +292,8 @@ def build_parser() -> _Parser:
     qp.add_argument("--k", type=int, default=5, help="top candidates to keep")
     qp.add_argument("--probe-batch", type=int, default=16)
     qp.add_argument("--parallel", type=int, default=None,
-                    help="score on this many threads; same ranking as serial")
+                    help="score on up to this many threads, at most one per core; "
+                         "same ranking as serial")
     qp.add_argument("--seed", type=int, default=0)
     qp.add_argument("--out", required=True)
     qp.set_defaults(func=cmd_search)

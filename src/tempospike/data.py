@@ -393,6 +393,19 @@ def _read_sample(folder: Path, name) -> str:
         raise DataError(f"sample {name!r}, cannot read: {err}") from None
 
 
+def _sample_entry(i: int, entry) -> tuple[str, int]:
+    """The file name and label of the manifest's sample entry ``i``, or a
+    ``DataError`` that names the entry and the field."""
+    if not isinstance(entry, dict):
+        raise DataError(f"samples[{i}] must be an object, got {entry!r}")
+    try:
+        return typed(entry["file"], str, "file"), typed(entry["label"], int, "label")
+    except KeyError as err:
+        raise DataError(f"samples[{i}] has no field {err}") from None
+    except TypeError as err:
+        raise DataError(f"samples[{i}] {err}") from None
+
+
 def load_dataset(manifest_path) -> Dataset:
     """Read a manifest and all its sample files into one [N, T, units] tensor.
     An error in a sample names its file as the manifest gives it."""
@@ -414,9 +427,9 @@ def load_dataset(manifest_path) -> Dataset:
         if size > MAX_DATASET_BYTES:
             raise DataError(f"{len(samples)} samples of T={T} x {units} units need {size} "
                             f"bytes, above the limit of {MAX_DATASET_BYTES}")
-        labels = np.array([typed(entry["label"], int, "label") for entry in samples],
-                          dtype=np.int64)
-        files = [entry["file"] for entry in samples]
+        entries = [_sample_entry(i, entry) for i, entry in enumerate(samples)]
+        files = [name for name, _ in entries]
+        labels = np.array([label for _, label in entries], dtype=np.int64)
         inputs = np.zeros((len(files), T, units))
         (unit_of, ts), counts, error = _read_tables(
             [_read_sample(path.parent, name) for name in files], ("x", "t"), "spike",

@@ -43,24 +43,27 @@ def soft_spike_forward(z: Array, alpha: float) -> Array:
     return 0.5 + np.arctan(_HALF_PI * alpha * z) / math.pi
 
 
-def spike(z: Tensor, cfg: SurrogateConfig, mode: str = "hard") -> Tensor:
-    """Threshold crossing: 1 where z > 0, else 0.
+def spike(membrane: Tensor, threshold: Tensor, cfg: SurrogateConfig,
+          mode: str = "hard") -> Tensor:
+    """Threshold crossing of the normalized drive z = U / V_th - 1: 1 where
+    z > 0, else 0.
 
-    ``hard`` emits exact binary spikes; the backward pass substitutes the
-    surrogate derivative. ``soft`` emits the smooth primitive itself so that
+    Records ``normalized_drive`` and then a ``spike`` node on z. ``hard``
+    emits exact binary spikes; the backward pass substitutes the surrogate
+    derivative. ``soft`` emits the smooth primitive itself so that
     finite-difference gradient checks are well-posed; it is never used in
-    training.
+    training. The spike node keeps no z: its backward pass rebuilds z from
+    the membrane, which ``normalized_drive`` keeps anyway, and the threshold.
     """
-    alpha = cfg.alpha_surr
-    if mode == "hard":
-        out = (z.data > 0).astype(np.float64)
-    elif mode == "soft":
-        out = soft_spike_forward(z.data, alpha)
-    else:
+    if mode not in ("hard", "soft"):
         raise ValueError(f"unknown spike mode {mode!r}")
+    alpha = cfg.alpha_surr
+    z = normalized_drive(membrane, threshold)
+    out = (z.data > 0).astype(np.float64) if mode == "hard" else soft_spike_forward(z.data, alpha)
+    u, th = membrane.data, threshold.data
 
     def back(g):
-        return (g * surrogate_grad(z.data, alpha),)
+        return (g * surrogate_grad(_drive(u, th), alpha),)
 
     return record((z,), out, back)
 
@@ -329,24 +332,32 @@ def lif_update(membrane: Tensor, drive: Tensor, prev_spikes: Tensor,
     soft: U' = leak * U + drive - threshold * prev_spikes
     hard: U' = leak * (U * (1 - prev_spikes)) + drive
     Fusing the arithmetic keeps the unrolled tape small; gradients match the
-    composed primitive ops exactly.
+    composed primitive ops exactly. The node keeps the membrane U and the
+    previous spikes, as a boolean array when every value is 0 or 1 (hard
+    spikes, or the zero start), one byte per value, and as float otherwise.
     """
     lk = leak.data
     th = threshold.data
-    out = _lif_membrane(membrane.data, drive.data, prev_spikes.data, lk, th, reset_mode)
+    u = membrane.data
+    out = _lif_membrane(u, drive.data, prev_spikes.data, lk, th, reset_mode)
+    # bit for bit the same factor: 1.0 - True is 0.0 and -g * True is -g
+    prev = prev_spikes.data.astype(bool)
+    if not (prev == prev_spikes.data).all():
+        prev = prev_spikes.data
     if reset_mode == "soft":
         def back(g):
             g_mem = g * lk
             g_prev = -g * th
-            g_leak = _sum_to_scalar(g * membrane.data, leak.shape)
-            g_th = _sum_to_scalar(-g * prev_spikes.data, threshold.shape)
+            g_leak = _sum_to_scalar(g * u, leak.shape)
+            g_th = _sum_to_scalar(-g * prev, threshold.shape)
             return g_mem, g, g_prev, g_leak, g_th
 
     else:
         def back(g):
-            retained = membrane.data * (1.0 - prev_spikes.data)
-            g_mem = g * lk * (1.0 - prev_spikes.data)
-            g_prev = -g * lk * membrane.data
+            keep = 1.0 - prev
+            retained = u * keep
+            g_mem = g * lk * keep
+            g_prev = -g * lk * u
             g_leak = _sum_to_scalar(g * retained, leak.shape)
             g_th = np.zeros(threshold.shape)
             return g_mem, g, g_prev, g_leak, g_th
@@ -387,7 +398,7 @@ def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_m
         u = _lif_membrane(u, d[t], o, lk, th, reset_mode)
         if u_seq is not None:
             u_seq[t] = u
-        z = u / th - 1.0
+        z = _drive(u, th)
         o_seq[t] = (z > 0) if spike_mode == "hard" else soft_spike_forward(z, alpha)
         o = o_seq[t]
 
@@ -499,10 +510,15 @@ def window(blocks: Sequence[Tensor], start: int, rows: int) -> Tensor:
     return record(tuple(blocks), out, back)
 
 
+def _drive(membrane: Array, threshold: Array) -> Array:
+    return membrane / threshold - 1.0
+
+
 def normalized_drive(membrane: Tensor, threshold: Tensor) -> Tensor:
-    """Threshold-relative potential fed to the spike function: U / V_th - 1."""
+    """Threshold-relative potential fed to the spike function: U / V_th - 1.
+    The node keeps the membrane."""
     th = threshold.data
-    out = membrane.data / th - 1.0
+    out = _drive(membrane.data, th)
 
     def back(g):
         g_mem = g / th

@@ -681,7 +681,7 @@ def spec_to_dict(spec: ArchSpec) -> dict:
 
 
 _JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-               bool: ((bool,), "true or false")}
+               bool: ((bool,), "true or false"), str: ((str,), "a string")}
 
 
 def typed(value, kind: type, field: str):

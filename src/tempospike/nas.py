@@ -15,6 +15,7 @@ deficient and score near the regularization floor.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -213,7 +214,8 @@ def random_search(space: SearchSpace, n_candidates: int, probe_batch: np.ndarray
 
     Rankings are a pure function of (space, master_seed, probe_batch): every
     candidate gets its own pre-split seed, so serial and parallel execution
-    agree exactly.
+    agree exactly. ``parallel`` threads score the candidates, but never more
+    threads than candidates or than the machine has cores.
     """
     if not 1 <= k <= n_candidates:
         raise SearchError(f"need 1 <= k <= n_candidates, got k={k}, n_candidates={n_candidates}")
@@ -229,8 +231,9 @@ def random_search(space: SearchSpace, n_candidates: int, probe_batch: np.ndarray
         spec, seed = item
         return sahd_score(spec, probe_batch, seed=seed)
 
-    if parallel and parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
+    workers = min(parallel or 1, n_candidates, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             scored = list(pool.map(score_one, specs))
     else:
         scored = [score_one(item) for item in specs]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SurrogateConfig, Tensor, lif_update, normalized_drive, spike
+from .engine import SurrogateConfig, Tensor, lif_update, spike
 
 LEAK_MIN = 1e-3
 LEAK_MAX = 1.0 - 1e-3
@@ -75,7 +75,11 @@ def lif_step(state: LifState, weighted_input: Tensor, params: LifParams,
     """Advance one timestep; returns (spikes, new state).
 
     ``weighted_input`` must already contain the full synaptic drive for this
-    step, including any skip-connection contribution.
+    step, including any skip-connection contribution. Under a tape the step
+    records ``lif_update``, ``normalized_drive`` and ``spike``. For their
+    backward passes they keep one float array, the new membrane (which the
+    next step's ``lif_update`` keeps too), and the previous spikes at one
+    byte per value when every value is 0 or 1.
     """
     if weighted_input.shape != state.membrane.shape:
         raise ValueError(
@@ -83,7 +87,7 @@ def lif_step(state: LifState, weighted_input: Tensor, params: LifParams,
         )
     membrane = lif_update(state.membrane, weighted_input, state.prev_spikes,
                           params.leak, params.threshold, params.reset_mode)
-    spikes = spike(normalized_drive(membrane, params.threshold), surr, mode=spike_mode)
+    spikes = spike(membrane, params.threshold, surr, mode=spike_mode)
     return spikes, LifState(membrane=membrane, prev_spikes=spikes)
 
 

@@ -410,6 +410,15 @@ BROKEN_INPUTS = {
     "manifest naming an absent sample": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp), _edit_manifest(data / "train",
                                         lambda m: m["samples"][0].update(file="absent.csv")))),
+    "sample entry's file null": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train",
+                                        lambda m: m["samples"][0].update(file=None)))),
+    "sample entry's file an object": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train",
+                                        lambda m: m["samples"][0].update(file={})))),
+    "sample entry not an object": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train",
+                                        lambda m: m["samples"].__setitem__(0, 4)))),
     "sample timestamp beyond int64": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp), _first_sample(data / "train", "0,1\n1,9223372036854775808\n"))),
     "sample file missing": (EXIT_VALIDATION, lambda tmp, data: _train(

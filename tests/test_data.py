@@ -420,6 +420,28 @@ class TestLoadDataset:
                                             r"timestamps must be non-decreasing$"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"file": None, "label": 0}, "samples[1] file must be a string, got None"),
+        ({"file": 3, "label": 0}, "samples[1] file must be a string, got 3"),
+        ({"file": ["a.csv"], "label": 0}, "samples[1] file must be a string, got ['a.csv']"),
+        ({"file": {"name": "a.csv"}, "label": 0},
+         "samples[1] file must be a string, got {'name': 'a.csv'}"),
+        ({"label": 0}, "samples[1] has no field 'file'"),
+        ({"file": "sample_00000.csv", "label": "1"},
+         "samples[1] label must be an integer, got '1'"),
+        ("sample_00000.csv", "samples[1] must be an object, got 'sample_00000.csv'"),
+        (None, "samples[1] must be an object, got None"),
+        ([0, "sample_00000.csv"], "samples[1] must be an object, got [0, 'sample_00000.csv']"),
+    ])
+    def test_bad_sample_entry_names_its_index_and_field(self, tmp_path, entry, message):
+        path = _write_manifest(tmp_path, 4, 6, 6, ["0,1\n", "1,2\n"])
+        manifest = json.loads(path.read_text())
+        manifest["samples"][1] = entry
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert str(err.value) == message
+
     def test_one_c_reader_call_for_every_file(self, tmp_path, monkeypatch):
         path = _write_manifest(tmp_path, 5, 6, 6, ["x,t\n0,1\n1,2\n", "2,3\n\n3,4\n",
                                                     "x,t\r\n0,0\r\n4,6\r\n", "1,5"])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import check_grads
+from tempospike.engine import ops
 from tempospike.engine import (
     EngineError,
     ShapeError,
@@ -207,13 +208,14 @@ class TestConv2d:
 
 class TestSpike:
     def test_hard_threshold_is_strict(self):
-        # spike iff the normalized drive is strictly positive
-        out = spike(Tensor([-0.5, 0.0, 0.3]), SurrogateConfig(2.0), mode="hard")
+        # spike iff the normalized drive U / V_th - 1 is strictly positive:
+        # here -0.5, 0.0 and 0.3
+        out = spike(Tensor([0.5, 1.0, 1.3]), Tensor(1.0), SurrogateConfig(2.0), mode="hard")
         assert out.data.tolist() == [0.0, 0.0, 1.0]
 
     def test_hard_output_is_binary(self):
         z = np.random.default_rng(0).normal(size=200)
-        out = spike(Tensor(z), SurrogateConfig(2.0)).data
+        out = spike(Tensor(z), Tensor(0.7), SurrogateConfig(2.0)).data
         assert set(np.unique(out)) <= {0.0, 1.0}
 
     def test_surrogate_peak_at_zero(self):
@@ -240,10 +242,13 @@ class TestSpike:
         assert g_pos <= alpha / 2 + 1e-15
 
     def test_soft_forward_matches_surrogate_derivative(self):
-        # the soft forward's finite differences must equal the backward rule
+        # the soft forward's finite differences must equal the backward rule,
+        # which rebuilds the normalized drive from the membrane and threshold
         rng = np.random.default_rng(11)
-        z = Tensor(rng.normal(size=12), requires_grad=True)
-        check_grads(lambda: spike(z, SurrogateConfig(1.7), mode="soft").sum(), [z], tol=1e-4)
+        u = Tensor(rng.normal(size=12), requires_grad=True)
+        th = Tensor(0.8, requires_grad=True)
+        check_grads(lambda: spike(u, th, SurrogateConfig(1.7), mode="soft").sum(), [u, th],
+                    tol=1e-4)
 
     def test_soft_forward_range(self):
         z = np.linspace(-5, 5, 101)
@@ -555,7 +560,7 @@ class TestBackward:
         surr = SurrogateConfig(2.0)
 
         def build():
-            h = spike(matmul(x, w1), surr, mode="soft")
+            h = spike(matmul(x, w1), Tensor(1.0), surr, mode="soft")
             return square(matmul(h, w2)).mean()
 
         check_grads(build, [w1, w2], tol=1e-4)
@@ -632,6 +637,35 @@ class TestTapeKeys:
         self.assert_freed_when_dropped(
             lambda: bntt_seq(x, gamma, beta, np.zeros((1, 3)), np.ones((1, 3)), 0, 1, True),
             lambda drive: lif_update(mem, drive, prev, leak, th, "soft"))
+
+    def test_normalized_drive_fed_to_spike_is_freed(self, monkeypatch):
+        # spike records normalized_drive, then a spike node on its output z,
+        # and rebuilds z from the membrane in its backward pass
+        rng = np.random.default_rng(66)
+        mem, th = self.leaf(rng, (4, 3)), Tensor(0.7, requires_grad=True)
+        drives = []
+        original = ops.normalized_drive
+
+        def normalized_drive(*args):
+            z = original(*args)
+            drives.append(weakref.ref(z.data))
+            return z
+
+        monkeypatch.setattr(ops, "normalized_drive", normalized_drive)
+        with Tape() as tape:
+            loss = spike(mem, th, SurrogateConfig(2.0)).sum()
+            assert len(drives) == 1 and drives[0]() is None
+        assert tape.backward(loss)
+
+    @pytest.mark.parametrize("reset", ["soft", "hard"])
+    def test_hard_spikes_fed_to_lif_update_are_freed(self, reset):
+        # lif_update keeps 0/1 previous spikes as one byte each
+        rng = np.random.default_rng(67)
+        mem, drive = self.leaf(rng, (4, 3)), self.leaf(rng, (4, 3))
+        leak, th = Tensor(0.9, requires_grad=True), Tensor(0.5, requires_grad=True)
+        self.assert_freed_when_dropped(
+            lambda: spike(mem, th, SurrogateConfig(2.0)),
+            lambda prev: lif_update(mem, drive, prev, leak, th, reset))
 
     def test_affine_drive_fed_to_lif_scan_is_freed(self):
         rng = np.random.default_rng(61)

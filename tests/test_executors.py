@@ -304,14 +304,16 @@ def test_taped_backward_edge_records_one_lif_step_per_layer_and_step(monkeypatch
 
 # The arrays each op kind's backward closure reads, given the node's input
 # tensors and output; parameters are left out, since they exist before a
-# pass. Dropout reads its boolean mask, one byte per output value. The kinds
-# in READS_NO_ARRAY read shapes and indices only.
+# pass. Dropout reads its boolean mask, one byte per output value, and
+# lif_update one byte per previous spike (hard spikes, or the zero start).
+# spike reads the membrane that normalized_drive reads, so it adds nothing.
+# The kinds in READS_NO_ARRAY read shapes and indices only.
 CLOSURE_READS = {
     "conv2d": lambda ins, out: [ins[0].data],  # the unpadded input
     "bntt_seq": lambda ins, out: [ins[0].data],  # x, to rebuild x-hat
-    "lif_update": lambda ins, out: [ins[0].data, ins[2].data],  # membrane, previous spikes
+    "lif_update": lambda ins, out: [ins[0].data, np.empty(ins[2].shape, dtype=bool)],
     "normalized_drive": lambda ins, out: [ins[0].data],  # membrane
-    "spike": lambda ins, out: [ins[0].data],  # normalized drive
+    "spike": lambda ins, out: [],
     "dropout": lambda ins, out: [np.empty(out.shape, dtype=bool)],
     "affine": lambda ins, out: [ins[0].data],  # x
     "li_scan": lambda ins, out: [out.data, ins[2].data],  # potentials, initial state

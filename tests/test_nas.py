@@ -189,6 +189,36 @@ class TestRandomSearch:
         par = random_search(space, 10, probes, 4, master_seed=7, parallel=4)
         assert [(c.score, c.spec) for c in serial] == [(c.score, c.spec) for c in par]
 
+    @pytest.mark.parametrize("parallel, n, cores, workers", [
+        (5000, 3, 8, 3), (5000, 10, 2, 2), (4, 10, 8, 4), (4, 10, None, None), (1, 10, 8, None)])
+    def test_thread_count_is_bounded(self, monkeypatch, parallel, n, cores, workers):
+        # a fake pool records the thread count asked for and scores in this
+        # thread, so no thread is started
+        asked = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(nas, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(nas.os, "cpu_count", lambda: cores)
+        space = tiny_space()
+        probes = probe_batch(space)
+        serial = random_search(space, n, probes, 2, master_seed=3)
+        assert asked == []
+        par = random_search(space, n, probes, 2, master_seed=3, parallel=parallel)
+        assert asked == ([] if workers is None else [workers])
+        assert [(c.score, c.spec) for c in serial] == [(c.score, c.spec) for c in par]
+
     def test_k_larger_than_n_rejected(self):
         space = tiny_space()
         with pytest.raises(SearchError):
