@@ -413,7 +413,7 @@ def load_dataset(manifest_path) -> Dataset:
     if path.is_dir():
         path = path / "manifest.json"
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = typed(json.loads(path.read_text(encoding="utf-8")), dict, "the manifest")
         if manifest.get("format") != "audio-csv":
             raise DataError(f"unsupported dataset format {manifest.get('format')!r}")
         T = typed(manifest["T"], int, "T")
@@ -422,7 +422,8 @@ def load_dataset(manifest_path) -> Dataset:
             raise DataError(f"num_units must be >= 1, got {units}")
         window = typed(manifest.get("window_us", T), float, "window_us")
         BinningConfig(T=T, window=window)  # checks T and the window
-        samples = manifest["samples"]
+        samples = typed(manifest["samples"], list, "samples")
+        meta = typed(manifest.get("meta", {}), dict, "meta")
         size = len(samples) * T * units * 8
         if size > MAX_DATASET_BYTES:
             raise DataError(f"{len(samples)} samples of T={T} x {units} units need {size} "
@@ -452,4 +453,4 @@ def load_dataset(manifest_path) -> Dataset:
     if error:
         raise DataError(f"sample {files[len(counts)]!r}, {error}")
     inputs[np.repeat(np.arange(len(counts)), counts), _time_bins(ts, window, T), unit_of] = 1.0
-    return Dataset(inputs=inputs, labels=labels, meta=manifest.get("meta", {}))
+    return Dataset(inputs=inputs, labels=labels, meta=meta)

@@ -43,6 +43,49 @@ def soft_spike_forward(z: Array, alpha: float) -> Array:
     return 0.5 + np.arctan(_HALF_PI * alpha * z) / math.pi
 
 
+_CHECK_BLOCK = 1 << 15  # values per block of pack_spikes' check: 256 KiB, which stay cached
+
+
+def pack_spikes(a: Array) -> tuple[Array, float | None]:
+    """``a`` as (a == s, s), one byte per value, when every value is +0.0 or
+    one finite s > 0, as spikes and dropped-out spikes are; else (a, None).
+    ``unpack_spikes`` rebuilds ``a`` bit for bit.
+
+    Per block of leading-axis rows, the check compares the values with s and
+    counts those whose bits are not all zero, which a -0.0 or any value but s
+    makes larger than the count of matches; a block is read from memory once.
+    s is the largest value of the last block, which for spikes is their value
+    unless that block is all zero, and then the largest of all values; a
+    wrong s fails the count."""
+    if not a.ndim or not a.size:
+        return a, None
+    rows = max(_CHECK_BLOCK * len(a) // a.size, 1)
+    s = a[-rows:].max()
+    if not s:
+        s = a.max()
+    if not 0.0 <= s < math.inf:  # NaN fails both
+        return a, None
+    bits = np.empty_like(a, dtype=bool)
+    nonzero = 0
+    for i in range(0, len(a), rows):
+        np.equal(a[i:i + rows], s, out=bits[i:i + rows])
+        nonzero += np.count_nonzero(a[i:i + rows].view(np.int64))
+    if nonzero != (np.count_nonzero(bits) if s else 0):
+        return a, None
+    return bits, s
+
+
+def unpack_spikes(kept: tuple[Array, float | None]) -> Array:
+    """The float array ``pack_spikes`` was given: True * s is s, False * s is +0.0."""
+    data, scale = kept
+    if scale is None:
+        return data
+    out = data.astype(np.float64)  # a cast, faster than a mixed-type product
+    if scale != 1.0:
+        out *= scale
+    return out
+
+
 def spike(membrane: Tensor, threshold: Tensor, cfg: SurrogateConfig,
           mode: str = "hard") -> Tensor:
     """Threshold crossing of the normalized drive z = U / V_th - 1: 1 where
@@ -169,8 +212,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     kernel and column gradients, the latter added back into the padded input
     by a kh*kw loop of slice adds. The batch is the innermost axis of the
     columns and of the padded input, so each window row is one contiguous run
-    of w'*b values in both copies. The padded input and the columns are
-    rebuilt from ``x`` in the backward pass, never kept on the tape.
+    of w'*b values in both copies. The node keeps the unpadded input, through
+    ``pack_spikes``, so spikes take one byte per value, and rebuilds the
+    padded input and the columns from it in the backward pass.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input/kernel, got {x.shape} and {kernel.shape}")
@@ -187,22 +231,24 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     ow, pl, pr = _same_pad(w, kw, stride)
     pads = ((0, 0), (pt, pb), (pl, pr), (0, 0))
 
-    def columns() -> Array:
+    def columns(xd: Array) -> Array:
         # padded input (c, hp, wp, b) -> windows (c, oh, ow, b, kh, kw)
         # -> rows (c, kh, kw), columns (oh, ow, b)
-        xp = np.pad(x.data.transpose(1, 2, 3, 0), pads)
+        xp = np.pad(xd.transpose(1, 2, 3, 0), pads)
         win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
         return win.transpose(0, 4, 5, 1, 2, 3).reshape(c * kh * kw, oh * ow * b)
 
     w2 = kernel.data.reshape(oc, -1)
-    out = w2 @ columns()
+    out = w2 @ columns(x.data)
     out += bias.data.reshape(oc, 1)
+    kept = pack_spikes(x.data) if active_tape() is not None else (x.data, None)
+    need_x = x.requires_grad
 
     def back(g):
         g2 = g.transpose(1, 2, 3, 0).reshape(oc, -1)
-        gk = (g2 @ columns().T).reshape(kernel.shape)
+        gk = (g2 @ columns(unpack_spikes(kept)).T).reshape(kernel.shape)
         gx = None
-        if x.requires_grad:
+        if need_x:
             gcols = (w2.T @ g2).reshape(c, kh, kw, oh, ow, b)
             gxp = np.zeros((c, pt + h + pb, pl + w + pr, b))
             for k in range(kh):
@@ -300,16 +346,20 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Fused x @ w + b for 2-d activations."""
+    """Fused x @ w + b for 2-d activations. The node keeps x for the weight
+    gradient x.T @ g through ``pack_spikes``, so spikes take one byte per
+    value."""
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"affine shapes disagree: {x.shape} @ {w.shape}")
 
     out = x.data @ w.data
     out += b.data
+    kept = pack_spikes(x.data) if active_tape() is not None else (x.data, None)
+    need_x = x.requires_grad
 
     def back(g):
-        gx = g @ w.data.T if x.requires_grad else None
-        return gx, x.data.T @ g, g.sum(axis=0)
+        gx = g @ w.data.T if need_x else None
+        return gx, unpack_spikes(kept).T @ g, g.sum(axis=0)
 
     return record((x, w, b), out, back)
 
@@ -333,28 +383,26 @@ def lif_update(membrane: Tensor, drive: Tensor, prev_spikes: Tensor,
     hard: U' = leak * (U * (1 - prev_spikes)) + drive
     Fusing the arithmetic keeps the unrolled tape small; gradients match the
     composed primitive ops exactly. The node keeps the membrane U and the
-    previous spikes, as a boolean array when every value is 0 or 1 (hard
-    spikes, or the zero start), one byte per value, and as float otherwise.
+    previous spikes through ``pack_spikes``, so hard spikes and the zero start
+    take one byte per value.
     """
     lk = leak.data
     th = threshold.data
     u = membrane.data
     out = _lif_membrane(u, drive.data, prev_spikes.data, lk, th, reset_mode)
-    # bit for bit the same factor: 1.0 - True is 0.0 and -g * True is -g
-    prev = prev_spikes.data.astype(bool)
-    if not (prev == prev_spikes.data).all():
-        prev = prev_spikes.data
+    kept = (pack_spikes(prev_spikes.data) if active_tape() is not None
+            else (prev_spikes.data, None))
     if reset_mode == "soft":
         def back(g):
             g_mem = g * lk
             g_prev = -g * th
             g_leak = _sum_to_scalar(g * u, leak.shape)
-            g_th = _sum_to_scalar(-g * prev, threshold.shape)
+            g_th = _sum_to_scalar(-g * unpack_spikes(kept), threshold.shape)
             return g_mem, g, g_prev, g_leak, g_th
 
     else:
         def back(g):
-            keep = 1.0 - prev
+            keep = 1.0 - unpack_spikes(kept)
             retained = u * keep
             g_mem = g * lk * keep
             g_prev = -g * lk * u
@@ -379,7 +427,9 @@ def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_m
     carries the membrane and spike gradients one step back and does all
     elementwise work on one step's slice at a time, so it stays in cache; the
     leak and threshold gradients are accumulated per step. It does not reach
-    ``init``, so an initial state while a tape records is an error.
+    ``init``, so an initial state while a tape records is an error. Under a
+    tape the node keeps the membranes and the spikes, hard spikes as a
+    boolean array, one byte per value.
     """
     if spike_mode not in ("hard", "soft"):
         raise ValueError(f"unknown spike mode {spike_mode!r}")
@@ -393,15 +443,19 @@ def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_m
     # membranes are kept for the backward pass only when a tape records it
     u_seq = np.empty_like(d) if recording else None
     o_seq = np.empty_like(d)
+    # hard spikes are made as booleans, which the backward pass keeps: 1.0 -
+    # True is 0.0 and a product with True is the other factor
+    bits = np.empty(d.shape, dtype=bool) if spike_mode == "hard" else None
     u, o = init if init is not None else (np.zeros(d.shape[1]),) * 2
     for t in range(steps):
         u = _lif_membrane(u, d[t], o, lk, th, reset_mode)
         if u_seq is not None:
             u_seq[t] = u
         z = _drive(u, th)
-        o_seq[t] = (z > 0) if spike_mode == "hard" else soft_spike_forward(z, alpha)
+        o_seq[t] = (soft_spike_forward(z, alpha) if bits is None
+                    else np.greater(z, 0.0, out=bits[t]))
         o = o_seq[t]
-
+    o_kept = o_seq if bits is None else bits
     rows, drive_shape = d.shape, drive.shape
 
     def back(g):
@@ -417,11 +471,11 @@ def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_m
                 # step t + 1 read this step's membrane and spikes
                 if reset_mode == "soft":
                     g_leak += np.vdot(g_next, u)
-                    dot_reset += np.vdot(g_next, o_seq[t])
+                    dot_reset += np.vdot(g_next, o_kept[t])
                     g_out = g_out - th * g_next
                     carry = lk * g_next
                 else:
-                    keep = 1.0 - o_seq[t]
+                    keep = 1.0 - o_kept[t]
                     g_leak += np.vdot(g_next, u * keep)
                     carry = lk * g_next
                     g_out = g_out - carry * u

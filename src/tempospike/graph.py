@@ -681,7 +681,8 @@ def spec_to_dict(spec: ArchSpec) -> dict:
 
 
 _JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-               bool: ((bool,), "true or false"), str: ((str,), "a string")}
+               bool: ((bool,), "true or false"), str: ((str,), "a string"),
+               list: ((list,), "a list"), dict: ((dict,), "an object")}
 
 
 def typed(value, kind: type, field: str):

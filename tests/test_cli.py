@@ -278,6 +278,12 @@ def _edit_manifest(data_dir, edit):
     return data_dir
 
 
+def _manifest_in_a_list(data_dir):
+    path = data_dir / "manifest.json"
+    path.write_text(f"[{path.read_text()}]")
+    return data_dir
+
+
 def _set_first_label(label):
     return lambda m: m["samples"][0].update(label=label)
 
@@ -407,6 +413,20 @@ BROKEN_INPUTS = {
         _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(T=10**13)))),
     "manifest window_us a string": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(window_us="6")))),
+    "manifest a list": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _manifest_in_a_list(data / "train"))),
+    "manifest samples a number": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(samples=3)))),
+    "manifest samples null": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(samples=None)))),
+    "manifest samples a string": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(samples="ab")))),
+    "manifest samples an object": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(samples={"a": 1})))),
+    "manifest meta a list": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(meta=[1])))),
+    "manifest meta a string": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(meta="x")))),
     "manifest naming an absent sample": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp), _edit_manifest(data / "train",
                                         lambda m: m["samples"][0].update(file="absent.csv")))),

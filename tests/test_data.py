@@ -442,6 +442,23 @@ class TestLoadDataset:
             load_dataset(path)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: [m], "the manifest must be an object, got [{"),
+        (lambda m: {**m, "samples": 3}, "samples must be a list, got 3"),
+        (lambda m: {**m, "samples": None}, "samples must be a list, got None"),
+        (lambda m: {**m, "samples": "ab"}, "samples must be a list, got 'ab'"),
+        (lambda m: {**m, "samples": {"a": 1}}, "samples must be a list, got {'a': 1}"),
+        (lambda m: {**m, "meta": [1]}, "meta must be an object, got [1]"),
+        (lambda m: {**m, "meta": "x"}, "meta must be an object, got 'x'"),
+    ], ids=["manifest a list", "samples 3", "samples null", "samples a string",
+            "samples an object", "meta a list", "meta a string"])
+    def test_manifest_of_the_wrong_shape_names_the_field(self, tmp_path, edit, message):
+        path = _write_manifest(tmp_path, 4, 6, 6, ["0,1\n"])
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(DataError) as err:
+            load_dataset(path)
+        assert message in str(err.value) and "\n" not in str(err.value)
+
     def test_one_c_reader_call_for_every_file(self, tmp_path, monkeypatch):
         path = _write_manifest(tmp_path, 5, 6, 6, ["x,t\n0,1\n1,2\n", "2,3\n\n3,4\n",
                                                     "x,t\r\n0,0\r\n4,6\r\n", "1,5"])

@@ -4,11 +4,13 @@ import resource
 import sys
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import check_grads
 from tempospike.engine import ops
@@ -32,6 +34,7 @@ from tempospike.engine import (
     matmul,
     mse,
     mul,
+    relu,
     select_channels,
     sigmoid,
     soft_spike_forward,
@@ -42,6 +45,7 @@ from tempospike.engine import (
     surrogate_grad,
     window,
 )
+from tempospike.graph import Network, TSkip, from_shorthand, mlp_spec, run_forward
 
 
 class TestTensor:
@@ -317,6 +321,46 @@ class TestDropout:
 
         out, grown = tape_growth(op)
         assert grown <= out.data.nbytes + masks[0].nbytes + TAPE_SLACK, (grown, out.data.nbytes)
+
+
+@st.composite
+def spike_valued_or_not(draw):
+    """0/1 and 0/s spikes, all zeros, empty arrays, arrays with a -0.0 and
+    mixed floats, in C or transposed layout."""
+    s = draw(st.floats(min_value=0.0, exclude_min=True))
+    elements = draw(st.sampled_from([
+        st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, s]), st.just(0.0),
+        st.sampled_from([0.0, s, -0.0]), st.floats() | st.sampled_from([0.0, s])]))
+    shape = draw(st.tuples(st.integers(0, 4), st.integers(1, 6)))
+    a = draw(hnp.arrays(np.float64, shape, elements=elements))
+    return a.T if draw(st.booleans()) else a
+
+
+class TestPackSpikes:
+    @given(spike_valued_or_not(), st.integers(1, 30))
+    @example(np.array([0.0, math.inf, 0.0]), 1)
+    @settings(max_examples=400)
+    def test_unpack_gives_the_input_back_bit_for_bit(self, a, block):
+        # small blocks, so that the check covers several of them
+        with mock.patch.object(ops, "_CHECK_BLOCK", block):
+            data, scale = ops.pack_spikes(a)
+        patterns = set(a.view(np.int64).ravel().tolist()) - {0}
+        spike_valued = a.size > 0 and len(patterns) <= 1 and all(
+            0.0 < np.int64(p).view(np.float64) < math.inf for p in patterns)
+        assert (scale is not None) == spike_valued
+        if scale is None:
+            assert data is a
+        else:
+            assert data.dtype == bool and data.shape == a.shape
+            back = ops.unpack_spikes((data, scale))
+            assert back.dtype == np.float64 and back.tobytes() == a.tobytes()
+
+    def test_spikes_outside_the_last_block_are_packed(self):
+        # the last block, which gives the scale, is all zero here
+        a = np.zeros((3, ops._CHECK_BLOCK))
+        a[0, 1::64] = 1.25
+        data, scale = ops.pack_spikes(a)
+        assert scale == 1.25 and np.array_equal(data, a > 0)
 
 
 class TestConcat:
@@ -723,6 +767,83 @@ class TestTapeKeys:
             results.append(([grads[t].tobytes() for t in leaves], tape.grad_norm))
         assert len(kept) == 9
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("p", [0.0, 0.2], ids=["0-1", "dropout"])
+    @pytest.mark.parametrize("kind", ["affine", "conv2d"])
+    def test_spike_valued_input_is_freed_and_gradients_match_the_float_path(
+            self, monkeypatch, kind, p):
+        rng = np.random.default_rng(68)
+        if kind == "affine":
+            op, mem = affine, self.leaf(rng, (6, 5))
+            w, b = self.leaf(rng, (5, 4)), self.leaf(rng, (4,))
+        else:
+            op, mem = conv2d, self.leaf(rng, (3, 2, 4, 4))
+            w, b = self.leaf(rng, (3, 2, 3, 3)), self.leaf(rng, (3, 1, 1))
+        keep = rng.random(mem.shape) >= p
+
+        def run():
+            # 0/1 spikes, or dropout of them, 0 and 1.25
+            with Tape() as tape:
+                mid = spike(mem, Tensor(0.5), SurrogateConfig(2.0))
+                if p:
+                    mid = dropout(mid, keep, p)
+                ref = weakref.ref(mid.data)
+                loss = square(op(mid, w, b)).sum()
+                del mid
+                freed = ref() is None
+            grads = tape.backward(loss)
+            return freed, [grads[t].tobytes() for t in (mem, w, b)], tape.grad_norm
+
+        freed, *packed = run()
+        monkeypatch.setattr(ops, "pack_spikes", lambda a: (a, None))
+        kept, *floats = run()
+        assert freed and not kept
+        assert packed == floats
+
+    def test_relu_fed_affine_keeps_floats(self):
+        rng = np.random.default_rng(70)
+        x, w, b = self.leaf(rng, (6, 5)), self.leaf(rng, (5, 4)), self.leaf(rng, (4,))
+        with Tape() as tape:
+            mid = relu(x)
+            ref = weakref.ref(mid.data)
+            loss = affine(mid, w, b).sum()
+            del mid
+            assert ref() is not None
+        assert tape.backward(loss)
+
+    def test_tape_free_forward_never_packs(self, monkeypatch):
+        # dense and conv layers, dropout, and a backward edge with one-step
+        # chunks, which run lif_update
+        def never(a):
+            raise AssertionError("packed without a tape")
+
+        monkeypatch.setattr(ops, "pack_spikes", never)
+        rng = np.random.default_rng(71)
+        for spec in (mlp_spec([4, 6, 5, 3], T=4, tskips=[TSkip(2, 1, 1)]),
+                     from_shorthand("2x6x6-3c3s1-3c4s1-3", T=3,
+                                    tskips=[TSkip(origin=2, dest=1, delta_t=1)], bntt=True)):
+            x = (rng.random((spec.T, 2) + spec.input_shape) < 0.5).astype(np.float64)
+            for mode in ("train", "eval"):
+                run_forward(Network.build(spec, seed=0), x, mode=mode, dropout=0.2,
+                            rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("spike_mode", ["hard", "soft"])
+    def test_lif_scan_keeps_hard_spikes_as_booleans(self, spike_mode):
+        rng = np.random.default_rng(72)
+        drive = self.leaf(rng, (3 * 4, 5))
+        leak, th = Tensor(0.9, requires_grad=True), Tensor(0.5, requires_grad=True)
+        with Tape() as tape:
+            out = lif_scan(drive, leak, th, 3, "hard", SurrogateConfig(2.0), spike_mode)[0]
+            ref = weakref.ref(out.data.base)
+            loss = out.sum()
+            del out
+            kept = [c.cell_contents for c in tape.nodes[0].backward.__closure__
+                    if isinstance(c.cell_contents, np.ndarray)
+                    and c.cell_contents.shape == (3, 4 * 5)]
+            assert (ref() is None) == (spike_mode == "hard")
+        assert sorted(a.dtype.name for a in kept) == (
+            ["bool", "float64"] if spike_mode == "hard" else ["float64", "float64"])
+        assert tape.backward(loss)
 
     def test_tensor_of_an_outer_tape_is_a_leaf_of_an_inner_one(self):
         x = Tensor([[1.0, -2.0]], requires_grad=True)

@@ -302,20 +302,30 @@ def test_taped_backward_edge_records_one_lif_step_per_layer_and_step(monkeypatch
     assert got == ref
 
 
+def _kept_input(ins, out):
+    """The input that ``conv2d`` (unpadded) and ``affine`` keep: one byte per
+    value when it is spike-valued, every value +0.0 or one finite s > 0."""
+    x = ins[0].data
+    nonzero = np.unique(x[x.view(np.int64) != 0])
+    spike_valued = nonzero.size <= 1 and not np.signbit(x).any() and np.isfinite(x).all()
+    return [np.empty(x.shape, dtype=bool) if spike_valued else x]
+
+
 # The arrays each op kind's backward closure reads, given the node's input
 # tensors and output; parameters are left out, since they exist before a
-# pass. Dropout reads its boolean mask, one byte per output value, and
-# lif_update one byte per previous spike (hard spikes, or the zero start).
+# pass. Dropout reads its boolean mask, one byte per output value, lif_update
+# one byte per previous spike (hard spikes, or the zero start), and conv2d
+# and affine one byte per input value when the input is spike-valued.
 # spike reads the membrane that normalized_drive reads, so it adds nothing.
 # The kinds in READS_NO_ARRAY read shapes and indices only.
 CLOSURE_READS = {
-    "conv2d": lambda ins, out: [ins[0].data],  # the unpadded input
+    "conv2d": _kept_input,
     "bntt_seq": lambda ins, out: [ins[0].data],  # x, to rebuild x-hat
     "lif_update": lambda ins, out: [ins[0].data, np.empty(ins[2].shape, dtype=bool)],
     "normalized_drive": lambda ins, out: [ins[0].data],  # membrane
     "spike": lambda ins, out: [],
     "dropout": lambda ins, out: [np.empty(out.shape, dtype=bool)],
-    "affine": lambda ins, out: [ins[0].data],  # x
+    "affine": _kept_input,
     "li_scan": lambda ins, out: [out.data, ins[2].data],  # potentials, initial state
 }
 READS_NO_ARRAY = {"concat", "select_channels", "reshape", "stack", "window"}
