@@ -102,7 +102,8 @@ def spike(membrane: Tensor, threshold: Tensor, cfg: SurrogateConfig,
         raise ValueError(f"unknown spike mode {mode!r}")
     alpha = cfg.alpha_surr
     z = normalized_drive(membrane, threshold)
-    out = (z.data > 0).astype(np.float64) if mode == "hard" else soft_spike_forward(z.data, alpha)
+    zd = z.data
+    out = (zd > 0).astype(zd.dtype) if mode == "hard" else soft_spike_forward(zd, alpha)
     u, th = membrane.data, threshold.data
 
     def back(g):
@@ -446,7 +447,7 @@ def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_m
     # hard spikes are made as booleans, which the backward pass keeps: 1.0 -
     # True is 0.0 and a product with True is the other factor
     bits = np.empty(d.shape, dtype=bool) if spike_mode == "hard" else None
-    u, o = init if init is not None else (np.zeros(d.shape[1]),) * 2
+    u, o = init if init is not None else (np.zeros(d.shape[1], d.dtype),) * 2
     for t in range(steps):
         u = _lif_membrane(u, d[t], o, lk, th, reset_mode)
         if u_seq is not None:
@@ -534,8 +535,8 @@ def window(blocks: Sequence[Tensor], start: int, rows: int) -> Tensor:
     timestep blocks of ``batch`` rows, a window of steps [lo, hi) over chunks
     that begin at step 0 is ``start = lo * batch``, ``rows = (hi - lo) *
     batch``. A window that is exactly one block is that block itself and adds
-    nothing to a tape; any other is a copy whose backward pass hands each
-    block the gradient of its rows."""
+    nothing to a tape; any other is a copy, in the first block's dtype, whose
+    backward pass hands each block the gradient of its rows."""
     lows = [0]
     for b in blocks:
         lows.append(lows[-1] + b.shape[0])
@@ -547,7 +548,7 @@ def window(blocks: Sequence[Tensor], start: int, rows: int) -> Tensor:
             return b
     # per block, the rows [a, z) of the laid-out blocks that the window covers
     spans = [(max(start, lo), min(stop, hi)) for lo, hi in zip(lows, lows[1:])]
-    out = np.zeros((rows,) + blocks[0].shape[1:])
+    out = np.zeros((rows,) + blocks[0].shape[1:], blocks[0].data.dtype)
     for b, lo, (a, z) in zip(blocks, lows, spans):
         if a < z:
             out[a - start:z - start] = b.data[a - lo:z - lo]

@@ -1,5 +1,8 @@
 """Dense float64 tensors with a recorded-operation tape for reverse-mode gradients.
 
+A float32 array or numpy scalar stays float32, for tape-free passes that run
+in float32; every other input is coerced to float64.
+
 The tape records every differentiable operation in execution order, which is a
 topological order by construction, so one reverse sweep yields gradients for
 every tensor that requires them. The tape names tensors by their ``key`` and
@@ -32,13 +35,16 @@ class ShapeError(EngineError):
 
 
 class Tensor:
-    """A dense float64 array plus gradient bookkeeping. ``key`` is unique in
-    the process and names the tensor on a tape."""
+    """A dense float64 array, or a float32 one kept in float32, plus gradient
+    bookkeeping. ``key`` is unique in the process and names the tensor on a
+    tape."""
 
     __slots__ = ("data", "requires_grad", "name", "key")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        self.data = np.asarray(data, dtype=np.float64)
+        # a float32 op on 0-d arrays returns a float32 numpy scalar
+        dtype = np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
+        self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.name = name
         self.key = next(_KEYS)

@@ -444,7 +444,8 @@ class Network:
 def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
                 spike_mode: str = "hard", surr: SurrogateConfig | None = None,
                 dropout: float = 0.0, rng: np.random.Generator | None = None,
-                collect: dict[int, np.ndarray | None] | None = None) -> ForwardResult:
+                collect: dict[int, np.ndarray | None] | None = None,
+                dtype=np.float64) -> ForwardResult:
     """Run the network over the full sequence.
 
     ``x`` has shape [T, batch, ...input]. The sequence runs in chunks of C
@@ -457,16 +458,29 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
     reaches. Every C gives the same result up to the rounding of batched
     matrix products; dropout draws one mask per layer per chunk. ``collect``
     maps layer indices in [0, depth] to slots that receive that layer's raw
-    output sequence as a [T, batch, ...] array; layer 0 receives ``x``
-    itself.
+    output sequence as a [T, batch, ...] array; layer 0 receives ``x`` cast
+    to ``dtype``.
+
+    The pass runs in ``dtype``, float64 or float32; ``x`` is cast to it once.
+    A float32 pass runs on float32 copies of the parameters and only in eval
+    mode without a tape, so that no gradient, checkpoint or running
+    statistic ever sees float32.
     """
     spec = net.spec
+    dtype = _pass_dtype(dtype)
+    if dtype == np.float32:
+        if mode != "eval":
+            raise GraphError(f"a float32 pass runs in eval mode only, got mode {mode!r}: "
+                             "training would update cast copies of the running statistics")
+        if active_tape() is not None:
+            raise GraphError("a float32 pass runs without a tape only: its gradients "
+                             "would not reach the float64 parameters")
+        net = _cast_network(net, dtype)
     if x.shape[0] != spec.T:
         raise GraphError(f"input time dim {x.shape[0]} != spec.T {spec.T}")
     if tuple(x.shape[2:]) != spec.input_shape:
         raise GraphError(f"input feature shape {x.shape[2:]} != {spec.input_shape}")
-    if not np.isfinite(x).all():
-        raise GraphError("input holds non-finite values")
+    x = cast_input(x, dtype)
     if dropout and not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout must lie in [0, 1), got {dropout}")
     outside = [l for l in collect or () if l not in range(spec.depth + 1)]
@@ -480,6 +494,38 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
     if collect is not None and 0 in collect:
         collect[0] = x
     return result
+
+
+def _pass_dtype(dtype) -> np.dtype:
+    """``dtype`` as a numpy dtype if it is float32 or float64, else ``GraphError``."""
+    try:
+        resolved = np.dtype(dtype)
+    except (TypeError, ValueError):
+        resolved = np.dtype(object)
+    if dtype is None or resolved not in (np.float32, np.float64):
+        raise GraphError(f"a pass runs in float32 or float64, got dtype {dtype!r}")
+    return resolved
+
+
+def cast_input(x: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """``x`` in ``dtype``, without a copy if it is already, or ``GraphError``
+    if a value is not finite there: a finite float64 value beyond float32's
+    range would become an infinite float32 one."""
+    with np.errstate(over="ignore"):
+        cast = x.astype(dtype, copy=False)
+    if not np.isfinite(cast).all():
+        where = (f" in float32, whose range is ±{np.finfo(np.float32).max:.7g}"
+                 if cast.dtype == np.float32 else "")
+        raise GraphError(f"input holds non-finite values{where}")
+    return cast
+
+
+def _cast_network(net: Network, dtype: np.dtype) -> Network:
+    """``net`` with its parameters and running statistics cast to ``dtype``
+    copies, which nothing trains or saves."""
+    params = {k: Tensor(p.data.astype(dtype), name=k) for k, p in net.params.items()}
+    state = {k: v.astype(dtype) for k, v in net.state.items()}
+    return Network(net.spec, params, state, net.shortcuts, net.seed)
 
 
 def _chunk_steps(spec: ArchSpec) -> int:
@@ -516,7 +562,8 @@ def _merge(edge: TSkip, merged: Tensor, resized: Tensor) -> Tensor:
 
 def _blend(net: Network, j: int, now: Tensor, delayed: Tensor) -> Tensor:
     a = sigmoid(net.params[f"E{j}.alpha_raw"])
-    return a * now + (1.0 - a) * delayed
+    one = Tensor(np.ones((), a.data.dtype))  # a bare 1.0 would widen a float32 pass
+    return a * now + (one - a) * delayed
 
 
 def _drive(net: Network, l: int, merged: Tensor, dropout: float,
@@ -560,7 +607,7 @@ def _run_chunked(net: Network, x: np.ndarray, training: bool, spike_mode: str,
     history: dict[int, list[Tensor]] = {l: [] for l in kept}
     carry: dict[int, object] = {}  # per layer, the state at the end of the last chunk
     if 1 == steps < T:
-        carry = {l: LifState.zeros((batch,) + net.shapes[l])
+        carry = {l: LifState.zeros((batch,) + net.shapes[l], x.dtype)
                  for l, layer in enumerate(spec.layers, start=1) if layer.activation == "lif"}
     for s in range(0, T, steps):
         e = min(s + steps, T)
@@ -571,7 +618,9 @@ def _run_chunked(net: Network, x: np.ndarray, training: bool, spike_mode: str,
             h = _layer_sequence(net, l, h, history, s, e, batch, carry, training, spike_mode,
                                 surr, dropout, rng)
             if l in stats.counts:
-                stats.counts[l] += h.data.reshape(-1, stats.counts[l].size).sum(axis=0)
+                # a float64 sum, exact for any count up to 2**53
+                stats.counts[l] += h.data.reshape(-1, stats.counts[l].size).sum(
+                    axis=0, dtype=np.float64)
             if l in history:
                 history[l].append(h)
 
@@ -609,7 +658,7 @@ def _layer_sequence(net: Network, l: int, prev: Tensor, history: dict[int, list[
                                spike_mode, state)
         return h
     if layer.activation == "li":
-        init = carry.get(l, Tensor(np.zeros((batch,) + net.shapes[l])))
+        init = carry.get(l, Tensor(np.zeros((batch,) + net.shapes[l], drive.data.dtype)))
         h = li_scan(drive, net.params[f"L{l}.leak"], init)
         # a one-step output is the next step's initial state as it is
         carry[l] = h if e - s == 1 else Tensor(h.data[-batch:].copy())
@@ -647,7 +696,7 @@ def _payload(net: Network, j: int, edge: TSkip, chunks: list[Tensor], lo: int, h
     which keeps the copy narrow, and ``window`` cuts the steps from them.
     Every chunk but the last has the first one's length."""
     if hi <= 0:
-        return Tensor(np.zeros(ff.shape))
+        return Tensor(np.zeros(ff.shape, ff.data.dtype))
     steps = chunks[0].shape[0] // batch
     first = max(lo, 0) // steps
     blocks = [_resize(net, j, edge, c, ff) for c in chunks[first:(hi - 1) // steps + 1]]

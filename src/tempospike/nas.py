@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (LAYER_KINDS, MERGE_OPS, ArchSpec, LayerSpec, Network, TSkip,
+from .graph import (LAYER_KINDS, MERGE_OPS, ArchSpec, LayerSpec, Network, TSkip, cast_input,
                     checked_param_table, run_forward, trainable_count)
 from .neuron import RESET_MODES, init_violations
 
@@ -187,7 +187,9 @@ def sahd_kernel(layer_trains: list[np.ndarray]) -> tuple[np.ndarray, bool]:
 
 def sahd_score(spec: ArchSpec, probe_batch: np.ndarray, seed: int = 0) -> CandidateScore:
     """Score an untrained architecture by the diversity of the spike patterns
-    its initialization produces on a probe batch."""
+    its initialization produces on a probe batch. The forward pass runs in
+    float32: the score reads only which neurons cross threshold, and the
+    kernel and its log-determinant stay float64."""
     if probe_batch.shape[1] < 2:
         raise SearchError("probe batch must contain at least 2 samples")
     net = Network.build(spec, seed=seed)
@@ -195,7 +197,7 @@ def sahd_score(spec: ArchSpec, probe_batch: np.ndarray, seed: int = 0) -> Candid
     if not lif_layers:
         raise SearchError("architecture has no spiking layers to score")
     per_layer: dict[int, np.ndarray | None] = {i: None for i in lif_layers}
-    run_forward(net, probe_batch, mode="eval", collect=per_layer)
+    run_forward(net, probe_batch, mode="eval", collect=per_layer, dtype=np.float32)
     trains = [_binarize(per_layer.pop(l)) for l in sorted(per_layer)]
     kernel, degenerate = sahd_kernel(trains)
     b = kernel.shape[0]
@@ -215,10 +217,12 @@ def random_search(space: SearchSpace, n_candidates: int, probe_batch: np.ndarray
     Rankings are a pure function of (space, master_seed, probe_batch): every
     candidate gets its own pre-split seed, so serial and parallel execution
     agree exactly. ``parallel`` threads score the candidates, but never more
-    threads than candidates or than the machine has cores.
+    threads than candidates or than the machine has cores. The probe is cast
+    to float32 once, for every candidate's forward pass.
     """
     if not 1 <= k <= n_candidates:
         raise SearchError(f"need 1 <= k <= n_candidates, got k={k}, n_candidates={n_candidates}")
+    probe_batch = cast_input(probe_batch, np.float32)
     seeds = np.random.SeedSequence(master_seed).spawn(n_candidates)
     specs = []
     for ss in seeds:

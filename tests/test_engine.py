@@ -53,6 +53,19 @@ class TestTensor:
         t = Tensor(np.zeros((3, 4)))
         assert t.shape == (3, 4) and t.size == 12
 
+    def test_float32_kept_as_it_is(self):
+        a = np.arange(6, dtype=np.float32).reshape(2, 3)
+        assert Tensor(a).data is a
+        assert Tensor(np.float32(1.5)).data.dtype == np.float32
+
+    @pytest.mark.parametrize("value", [
+        np.arange(3), np.array([True, False]), np.zeros(2, np.float16), 1.5, 2, [1.0, 2.0],
+        np.int64(3)])
+    def test_anything_but_a_float32_array_widens_to_float64(self, value):
+        t = Tensor(value)
+        assert t.data.dtype == np.float64
+        assert np.array_equal(t.data, np.asarray(value, dtype=np.float64))
+
 
 class TestMatmul:
     def test_identity(self):
@@ -876,6 +889,18 @@ class TestLifScan:
         assert np.array_equal(np.concatenate([first.data, rest.data]), whole.data)
         assert all(np.array_equal(a, b) for a, b in zip(state, end))
         assert 0 < whole.data.sum() < whole.size
+
+    @pytest.mark.parametrize("reset_mode", ["soft", "hard"])
+    def test_float32_drive_keeps_float32_state(self, reset_mode):
+        # the zero start and every carried state stay in the drive's dtype
+        drive = np.random.default_rng(5).normal(0.6, 0.8, size=(3 * 4, 5)).astype(np.float32)
+        leak, threshold = Tensor(np.array(0.7, np.float32)), Tensor(np.array(0.9, np.float32))
+        out, state = lif_scan(Tensor(drive), leak, threshold, 3, reset_mode, SurrogateConfig())
+        out2, state = lif_scan(Tensor(drive), leak, threshold, 3, reset_mode, SurrogateConfig(),
+                               init=state)
+        assert [a.dtype for a in (out.data, out2.data) + state] == [np.float32] * 4
+        acc = li_scan(Tensor(drive), leak, Tensor(np.zeros((4, 5), np.float32)))
+        assert acc.data.dtype == np.float32
 
     def test_initial_state_under_a_tape_is_refused(self):
         drive = Tensor(np.ones((2, 3)), requires_grad=True)

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from tempospike.engine import SurrogateConfig, Tensor
+from tempospike import graph
+from tempospike.engine import SurrogateConfig, Tape, Tensor, mse
 from tempospike.graph import (
     ArchSpec,
     GraphError,
@@ -22,6 +25,7 @@ from tempospike.graph import (
     spec_to_dict,
     validate,
 )
+from tempospike.trainer import readout_logits
 
 SURR = SurrogateConfig(2.0)
 
@@ -338,6 +342,119 @@ class TestRunForward:
         rates = out.stats.rates()
         assert set(rates) == {1, 2}  # spiking hidden layers; the readout emits none
         assert all(0.0 <= r <= 5.0 for r in rates.values())
+
+
+# Graphs that cover every path of a tape-free pass: one chunk, several chunks
+# of a backward edge, one-step chunks through ``LifState`` for a blend over a
+# backward edge, an accumulator readout fed by a concat edge, and conv layers;
+# with a relu layer and BNTT in eval mode along the way.
+FLOAT32_GRAPHS = {
+    "forward_dense": (ArchSpec(
+        input_shape=(6,), layers=(LayerSpec("dense", 8), LayerSpec("dense", 7, activation="relu"),
+                                  LayerSpec("dense", 4, activation="li")),
+        tskips=(TSkip(0, 2, 2, merge="add"),), T=6), 6),
+    "backward_chunks": (mlp_spec([6, 8, 8, 4], T=8, tskips=[TSkip(3, 1, 3, merge="add")],
+                                 bntt=True), 3),
+    "backward_blend": (mlp_spec([6, 8, 8, 4], T=6,
+                                tskips=[TSkip(2, 1, 2, merge="concat", alpha=True,
+                                              alpha_init=0.3)], reset="hard"), 1),
+    "li_concat": (mlp_spec([6, 8, 8, 4], T=6, tskips=[TSkip(1, 3, 2, merge="concat")]), 6),
+    "conv": (from_shorthand("2x6x6-3c4s1-3c3s2-3", T=4, tskips=[TSkip(1, 2, 1)], bntt=True,
+                            reset="hard"), 4),
+}
+
+
+def float32_fixture(name, batch=3):
+    spec, steps = FLOAT32_GRAPHS[name]
+    assert graph._chunk_steps(spec) == steps
+    x = (np.random.default_rng(8).random((spec.T, batch) + spec.input_shape) < 0.5)
+    return Network.build(spec, seed=4), x.astype(np.float64)
+
+
+class TestFloat32Pass:
+    @pytest.mark.parametrize("name", sorted(FLOAT32_GRAPHS))
+    def test_every_array_of_the_pass_stays_float32(self, name, monkeypatch):
+        # every tensor the pass makes, zeros and carried state included, is
+        # float32, so nothing is widened back to float64 on the way
+        net, x = float32_fixture(name)
+        made = set()
+        init = Tensor.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.add(self.data.dtype)
+
+        monkeypatch.setattr(Tensor, "__init__", spy)
+        collect = dict.fromkeys(range(net.spec.depth + 1))
+        out = run_forward(net, x, collect=collect, dtype=np.float32)
+        assert made == {np.dtype(np.float32)}
+        assert out.outputs.data.dtype == np.float32
+        assert {a.dtype for a in collect.values()} == {np.dtype(np.float32)}
+        assert all(p.data.dtype == np.float64 for p in net.params.values())
+
+    @pytest.mark.parametrize("name", sorted(FLOAT32_GRAPHS))
+    def test_spike_counts_match_float64(self, name):
+        net, x = float32_fixture(name)
+        lo = run_forward(net, x, dtype=np.float32).stats.counts
+        hi = run_forward(net, x).stats.counts
+        assert lo.keys() == hi.keys()
+        for l in hi:
+            assert lo[l].dtype == np.float64 and np.array_equal(lo[l], hi[l])
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, "int64", object, "nonsense",
+                                       None, np.complex64])
+    def test_other_dtypes_refused(self, dtype):
+        net, x = float32_fixture("forward_dense")
+        with pytest.raises(GraphError, match="float32 or float64") as err:
+            run_forward(net, x, dtype=dtype)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("dtype", ["float32", np.dtype("float64"), float])
+    def test_dtype_spellings_accepted(self, dtype):
+        net, x = float32_fixture("forward_dense")
+        assert run_forward(net, x, dtype=dtype).outputs.data.dtype == np.dtype(dtype)
+
+    def test_float32_refused_under_a_tape(self):
+        net, x = float32_fixture("forward_dense")
+        with Tape(), pytest.raises(GraphError, match="without a tape") as err:
+            run_forward(net, x, dtype=np.float32)
+        assert "\n" not in str(err.value)
+
+    def test_float32_refused_in_train_mode(self):
+        # BNTT would update cast copies of its running statistics
+        net, x = float32_fixture("backward_chunks")
+        with pytest.raises(GraphError, match="eval mode") as err:
+            run_forward(net, x, mode="train", dtype=np.float32)
+        assert "\n" not in str(err.value)
+        assert np.array_equal(net.state["L1.bntt_mean"], np.zeros_like(net.state["L1.bntt_mean"]))
+
+    def test_value_beyond_float32_range_refused(self):
+        net, x = float32_fixture("forward_dense")
+        x[2, 1, 3] = 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphError, match=r"non-finite values in float32.*3\.4028") as err:
+                run_forward(net, x, dtype=np.float32)
+            assert "\n" not in str(err.value)
+            run_forward(net, x)  # finite in float64
+
+    def test_float32_input_to_a_taped_float64_step_is_bit_identical(self):
+        # the float64 pass widens a float32 x once; loss and every gradient
+        # equal those of the same x cast to float64 by the caller
+        spec, _ = FLOAT32_GRAPHS["backward_chunks"]
+        x32 = np.random.default_rng(9).normal(0.5, 1.0, (spec.T, 3, 6)).astype(np.float32)
+        target = Tensor(np.random.default_rng(10).normal(size=(3, 4)))
+        results = []
+        for x in (x32, x32.astype(np.float64)):
+            net = Network.build(spec, seed=4)
+            with Tape() as tape:
+                out = run_forward(net, x, mode="train", surr=SURR)
+                loss = mse(readout_logits(out.outputs), target)
+            grads = tape.backward(loss)
+            results.append((loss.data, [grads[p] for p in net.params.values()]))
+        (loss_a, grads_a), (loss_b, grads_b) = results
+        assert loss_a.tobytes() == loss_b.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(grads_a, grads_b))
 
 
 class TestSerialization:

@@ -272,6 +272,51 @@ class TestRandomSearch:
             assert (draws, built) == (6, 12)
 
 
+class TestFloat32Scores:
+    """Candidates are scored on float32 forward passes; the scores and the
+    ranking must agree with float64 ones."""
+
+    @staticmethod
+    def search(probe, dtype=None, monkeypatch=None):
+        # a reduced ``shd`` preset: shorter window, fewer inputs, narrower layers
+        space = preset_space("shd", T=30, input_shape=(120,), width_range=(16, 96),
+                             delta_t_range=(3, 12), param_budget=60_000)
+        if dtype is not None:
+            monkeypatch.setattr(nas, "run_forward", lambda *args, **kwargs: graph.run_forward(
+                *args, **{**kwargs, "dtype": dtype}))
+        return random_search(space, 8, probe, 8, master_seed=2)
+
+    @pytest.mark.parametrize("probe_seed", [0, 1, 2])
+    def test_ranking_and_scores_agree_with_float64(self, probe_seed, monkeypatch):
+        rng = np.random.default_rng(probe_seed)
+        probe = (rng.random((30, 12, 120)) < 0.1).astype(np.float64)
+        lo = self.search(probe)
+        hi = self.search(probe, np.float64, monkeypatch)
+        assert [c.spec for c in lo[:3]] == [c.spec for c in hi[:3]]
+        scores = {c.seed: c.score for c in hi}
+        assert all(abs(c.score - scores[c.seed]) <= 1e-2 for c in lo)
+
+    def test_probe_cast_once_per_search(self, monkeypatch):
+        seen = []
+
+        def spy(net, x, **kwargs):
+            seen.append((x, kwargs["dtype"]))
+            return graph.run_forward(net, x, **kwargs)
+
+        monkeypatch.setattr(nas, "run_forward", spy)
+        space = tiny_space()
+        random_search(space, 4, probe_batch(space), 2, master_seed=0)
+        assert len(seen) == 4 and all(dtype == np.float32 for _, dtype in seen)
+        assert all(x is seen[0][0] and x.dtype == np.float32 for x, _ in seen)
+
+    def test_probe_beyond_float32_range_refused(self):
+        space = tiny_space()
+        probe = probe_batch(space)
+        probe[1, 2, 3] = -1e39
+        with pytest.raises(graph.GraphError, match="float32"):
+            random_search(space, 2, probe, 1)
+
+
 class TestKendallTau:
     def test_identical_rankings(self):
         assert kendall_tau([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)
