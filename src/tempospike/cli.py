@@ -135,6 +135,8 @@ def cmd_train(args) -> int:
 def cmd_search(args) -> int:
     if args.probe_batch < 2:
         raise UsageError(f"--probe-batch must be at least 2, got {args.probe_batch}")
+    if args.parallel is not None and args.parallel < 1:
+        raise UsageError(f"--parallel must be at least 1, got {args.parallel}")
     out = Path(args.out)
     if args.space:
         try:

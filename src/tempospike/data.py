@@ -15,7 +15,7 @@ decoys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 import json
 import math
 from pathlib import Path
@@ -163,37 +163,35 @@ def _read_tables(texts: list[str], fields: tuple[str, ...], what: str, checks):
     ``"opens"`` to the indices of the rows that open a text, to a mask of bad
     rows.
 
-    The bodies of the texts that are ASCII without U+001F go through one call
-    to numpy's C reader, chained one text at a time. Any other text, and
-    every text if that call fails, is read on its own (``_text_table``). The
+    When every text is ASCII without U+001F, their bodies go through one
+    call to numpy's C reader, chained one text at a time. Otherwise, or if
+    that call fails, each text is read on its own (``_text_table``). The
     first bad line in text order (a line that is not ``len(fields)``
     integers, or a row failing a check, and on it the first failed check)
     ends the read: the columns and counts then cover the texts before it,
     and the third result is its ``line N:`` message, else None."""
     width = len(fields)
     screened = [text.isascii() and "\x1f" not in text for text in texts]
-    joint_counts = []  # rows of each screened text; the reader skips empty lines
+    table, error = None, None
+    if all(screened):
+        counts = []  # rows of each text; the reader skips empty lines
 
-    def joint_body(text):
-        body = _body(text)[0]
-        joint_counts.append(len(body) - body.count(""))
-        return body
+        def joint_body(text):
+            body = _body(text)[0]
+            counts.append(len(body) - body.count(""))
+            return body
 
-    joint = _c_table(chain.from_iterable(map(joint_body, compress(texts, screened))), width)
-    if joint is not None:
-        pieces = iter(np.split(joint, np.cumsum(joint_counts[:-1], dtype=np.int64)))
-    tables, error = [], None
-    for text, passed in zip(texts, screened):
-        if joint is not None and passed:
-            tables.append(next(pieces))
-            continue
-        table, error = _text_table(text, passed, width, what)
-        tables.append(table)
-        if error:
-            break
-    table = (joint if joint is not None and all(screened)
-             else np.concatenate([np.empty((0, width), np.int64), *tables]))
-    counts = np.array([len(t) for t in tables], dtype=np.int64)
+        table = _c_table(chain.from_iterable(map(joint_body, texts)), width)
+    if table is None:
+        tables = []
+        for text, passed in zip(texts, screened):
+            piece, error = _text_table(text, passed, width, what)
+            tables.append(piece)
+            if error:
+                break
+        table = np.concatenate([np.empty((0, width), np.int64), *tables])
+        counts = [len(t) for t in tables]
+    counts = np.array(counts, dtype=np.int64)
     ends = counts.cumsum()
     columns = dict(zip(fields, table.T), opens=(ends - counts)[counts > 0])
     bad = np.array([test(columns) for test, _ in checks])
@@ -203,7 +201,7 @@ def _read_tables(texts: list[str], fields: tuple[str, ...], what: str, checks):
         lineno = _numbered(*_body(texts[k]))[row - int(ends[k] - counts[k])][0]
         error = f"line {lineno}: " + checks[check][1].format(**dict(zip(fields, table[row])))
     else:
-        k = len(tables) - (error is not None)
+        k = len(counts) - (error is not None)
     end = int(ends[k - 1]) if k else 0
     return tuple(table[:end].T), counts[:k], error
 

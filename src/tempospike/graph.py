@@ -318,40 +318,6 @@ def trainable_count(table: list[ParamSpec]) -> int:
     return sum(int(np.prod(p.shape)) for p in table if p.trainable)
 
 
-@dataclass(frozen=True)
-class ShortcutMatrix:
-    """Fixed random channel selection mapping a payload onto a target width.
-
-    Generated once at construction and never trained; the identity selection
-    is used whenever source and target widths already agree.
-    """
-
-    source_channels: int
-    target_channels: int
-    selection: tuple[int, ...]
-    seed: int
-
-    @classmethod
-    def build(cls, source_channels: int, target_channels: int, seed: int) -> "ShortcutMatrix":
-        if source_channels == target_channels:
-            selection = tuple(range(source_channels))
-        else:
-            rng = np.random.default_rng(seed)
-            selection = tuple(int(i) for i in rng.integers(0, source_channels,
-                                                           size=target_channels))
-        return cls(source_channels, target_channels, selection, seed)
-
-
-def shortcut_apply(ws: ShortcutMatrix, x: Tensor) -> Tensor:
-    if x.shape[1] != ws.source_channels:
-        raise GraphError(
-            f"shortcut expects {ws.source_channels} channels, got {x.shape[1]}"
-        )
-    if ws.selection == tuple(range(ws.source_channels)):
-        return x  # the identity selection would only copy
-    return select_channels(x, ws.selection, axis=1)
-
-
 @dataclass
 class SpikeStats:
     """Per LIF layer, one count per neuron: its spikes summed over the steps
@@ -389,10 +355,13 @@ class ForwardResult:
 
 
 class Network:
-    """An architecture bound to concrete parameters and fixed shortcuts."""
+    """An architecture bound to concrete parameters and fixed shortcuts:
+    ``shortcuts[j]`` is edge ``j``'s channel selection, the payload channel
+    for each destination channel (feature, into a dense layer). It is drawn
+    at build time, never trained, and the identity when the widths agree."""
 
     def __init__(self, spec: ArchSpec, params: dict[str, Tensor],
-                 state: dict[str, np.ndarray], shortcuts: list[ShortcutMatrix], seed: int):
+                 state: dict[str, np.ndarray], shortcuts: list[tuple[int, ...]], seed: int):
         self.spec = spec
         self.params = params
         self.state = state
@@ -420,17 +389,21 @@ class Network:
                 state[p.name] = value
 
         shapes = infer_shapes(spec)
-        shortcuts: list[ShortcutMatrix] = []
+        shortcuts: list[tuple[int, ...]] = []
         for edge in spec.tskips:
-            dest_layer = spec.layers[edge.dest - 1]
-            if dest_layer.kind == "conv2d":
-                source = shapes[edge.origin][0]
-                target = shapes[edge.dest - 1][0]
+            # one seed per edge, drawn whether or not the edge uses it, so
+            # that each selection and every saved checkpoint stays the same
+            edge_seed = int(rng.integers(0, 2**31 - 1))
+            if spec.layers[edge.dest - 1].kind == "conv2d":
+                source, target = shapes[edge.origin][0], shapes[edge.dest - 1][0]
             else:
                 source = _feature_count(shapes[edge.origin])
                 target = _feature_count(shapes[edge.dest - 1])
-            shortcuts.append(ShortcutMatrix.build(source, target,
-                                                  seed=int(rng.integers(0, 2**31 - 1))))
+            if source == target:
+                shortcuts.append(tuple(range(source)))
+            else:
+                drawn = np.random.default_rng(edge_seed).integers(0, source, size=target)
+                shortcuts.append(tuple(drawn.tolist()))
         return cls(spec, params, state, shortcuts, seed)
 
     def lif_params(self, layer_index: int) -> LifParams:
@@ -467,6 +440,8 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
     statistic ever sees float32.
     """
     spec = net.spec
+    if mode not in ("train", "eval"):
+        raise GraphError(f"mode must be 'train' or 'eval', got {mode!r}")
     dtype = _pass_dtype(dtype)
     if dtype == np.float32:
         if mode != "eval":
@@ -553,7 +528,10 @@ def _resize(net: Network, j: int, edge: TSkip, payload: Tensor, ff: Tensor) -> T
         raise GraphError(
             f"edge {edge.origin}->{edge.dest} (dt={edge.delta_t}): spatial "
             f"mismatch {payload.shape[2:]} vs {ff.shape[2:]}")
-    return shortcut_apply(net.shortcuts[j], payload)
+    selection = net.shortcuts[j]
+    if selection == tuple(range(payload.shape[1])):
+        return payload  # the identity selection would only copy
+    return select_channels(payload, selection, axis=1)
 
 
 def _merge(edge: TSkip, merged: Tensor, resized: Tensor) -> Tensor:

@@ -246,35 +246,23 @@ def random_search(space: SearchSpace, n_candidates: int, probe_batch: np.ndarray
 
 
 def kendall_tau(a, b) -> float:
-    """Kendall rank correlation with tie correction (tau-b)."""
-    a = list(a)
-    b = list(b)
+    """Kendall rank correlation with tie correction (tau-b) of two rankings
+    of finite values."""
+    a, b = np.asarray(list(a)), np.asarray(list(b))
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     n = len(a)
     if n < 2:
         raise ValueError("need at least 2 observations")
-    concordant = discordant = ties_a = ties_b = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            da = a[i] - a[j]
-            db = b[i] - b[j]
-            if da == 0 and db == 0:
-                ties_a += 1
-                ties_b += 1
-            elif da == 0:
-                ties_a += 1
-            elif db == 0:
-                ties_b += 1
-            elif (da > 0) == (db > 0):
-                concordant += 1
-            else:
-                discordant += 1
-    n0 = n * (n - 1) // 2
-    denom = math.sqrt((n0 - ties_a) * (n0 - ties_b))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("tau undefined: a ranking holds a non-finite value")
+    i, j = np.triu_indices(n, 1)
+    # each pair's order from comparisons, which cannot overflow as a difference can
+    sa, sb = ((x[i] > x[j]).astype(np.int64) - (x[i] < x[j]) for x in (a, b))
+    denom = math.sqrt(np.count_nonzero(sa) * np.count_nonzero(sb))
     if denom == 0:
         raise ValueError("tau undefined: one ranking is constant")
-    return (concordant - discordant) / denom
+    return int(sa @ sb) / denom
 
 
 def count_tskip_space(n_layers: int, n_delay_values: int) -> tuple[int, int, int]:

@@ -381,8 +381,8 @@ def save_checkpoint(path, net: Network, extra: dict | None = None) -> None:
         arrays[f"p::{name}"] = p.data
     for name, arr in net.state.items():
         arrays[f"s::{name}"] = arr
-    for j, ws in enumerate(net.shortcuts):
-        arrays[f"sel::{j}"] = np.asarray(ws.selection, dtype=np.int64)
+    for j, selection in enumerate(net.shortcuts):
+        arrays[f"sel::{j}"] = np.asarray(selection, dtype=np.int64)
     np.savez_compressed(path, **arrays)
 
 
@@ -436,9 +436,9 @@ def load_checkpoint(path) -> tuple[Network, dict]:
         if arrays[key].dtype.kind not in "biuf" or not np.isfinite(arrays[key]).all():
             raise TrainError(f"checkpoint array {key!r} must hold finite numbers")
         target[...] = arrays[key]
-    for j, ws in enumerate(net.shortcuts):
+    for j, selection in enumerate(net.shortcuts):
         key = f"sel::{j}"
-        if key not in arrays or tuple(arrays[key].tolist()) != ws.selection:
+        if key not in arrays or tuple(arrays[key].tolist()) != selection:
             raise TrainError(f"checkpoint shortcut selection {key!r} differs from the "
                              f"one its spec and seed rebuild")
     return net, meta.get("extra", {})

@@ -526,6 +526,10 @@ BROKEN_INPUTS = {
         _space_file(tmp), "--probe-batch", "1")),
     "search --probe-batch 2000000000": (EXIT_USAGE, lambda tmp, data: _search(
         _space_file(tmp), "--probe-batch", "2000000000")),
+    "search --parallel 0": (EXIT_USAGE, lambda tmp, data: _search(
+        _space_file(tmp), "--parallel", "0")),
+    "search --parallel -3": (EXIT_USAGE, lambda tmp, data: _search(
+        _space_file(tmp), "--parallel", "-3")),
     "search --k 0": (EXIT_VALIDATION, lambda tmp, data: _search(
         _space_file(tmp), "--k", "0")),
     "search --n 0 --k 0": (EXIT_VALIDATION, lambda tmp, data: _search(

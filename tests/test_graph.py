@@ -10,7 +10,6 @@ from tempospike.graph import (
     GraphError,
     LayerSpec,
     Network,
-    ShortcutMatrix,
     TSkip,
     dumps_spec,
     from_shorthand,
@@ -20,7 +19,6 @@ from tempospike.graph import (
     param_count,
     parse_layer_token,
     run_forward,
-    shortcut_apply,
     spec_from_dict,
     spec_to_dict,
     validate,
@@ -173,30 +171,61 @@ class TestShapesAndParams:
         assert infer_shapes(spec) == [(2, 8, 8), (4, 4, 4), (4, 4, 4), (10,)]
 
 
+# the selections that earlier builds of these specs drew with seed 0; every
+# checkpoint stores its selections as `sel::j` and must reload, so a change
+# of the draw order fails here
+PINNED_SELECTIONS = {
+    "identity dense edge": (
+        mlp_spec([4, 8, 8, 3], T=5, tskips=[TSkip(1, 2, 1, merge="add")]),
+        [tuple(range(8))]),
+    "dense edge of another width": (
+        mlp_spec([4, 8, 6, 3], T=5, tskips=[TSkip(1, 2, 1, merge="add"), TSkip(0, 2, 2)]),
+        [tuple(range(8)), (2, 3, 3, 3, 3, 0, 1, 3)]),
+    "conv back edge 3->2": (
+        from_shorthand("2x16x16-3c16s2-3c32s1-3c32s1-10", T=20,
+                       tskips=[TSkip(3, 2, 4, merge="concat")], bntt=True, reset="hard"),
+        [(17, 5, 3, 0, 2, 0, 14, 6, 4, 27, 21, 9, 12, 8, 20, 2)]),
+}
+
+
 class TestShortcut:
     def test_selection_applies(self):
-        ws = ShortcutMatrix(3, 2, (2, 0), seed=0)
-        out = shortcut_apply(ws, Tensor(np.array([[1.0, 2.0, 3.0]])))
+        spec = linear_spec([3, 2, 2], T=1, tskips=[TSkip(0, 2, 0, merge="add")])
+        net = Network.build(spec, seed=0)
+        net.shortcuts[0] = (2, 0)
+        out = graph._resize(net, 0, spec.tskips[0], Tensor(np.array([[1.0, 2.0, 3.0]])),
+                            Tensor(np.zeros((1, 2))))
         assert out.data.tolist() == [[3.0, 1.0]]
 
     def test_identity_when_sizes_match(self):
-        ws = ShortcutMatrix.build(5, 5, seed=123)
-        assert ws.selection == tuple(range(5))
+        spec = linear_spec([5, 5, 5], T=2, tskips=[TSkip(0, 2, 1, merge="add")])
+        net = Network.build(spec, seed=123)
+        assert net.shortcuts == [tuple(range(5))]
+        payload = Tensor(np.ones((2, 5)))
+        assert graph._resize(net, 0, spec.tskips[0], payload, payload) is payload
 
     def test_deterministic_given_seed(self):
-        a = ShortcutMatrix.build(7, 30, seed=9)
-        b = ShortcutMatrix.build(7, 30, seed=9)
-        c = ShortcutMatrix.build(7, 30, seed=10)
-        assert a.selection == b.selection
-        assert a.selection != c.selection
+        spec = mlp_spec([7, 30, 30, 3], T=2, tskips=[TSkip(0, 2, 1)])
+        a, b, c = (Network.build(spec, seed=s).shortcuts for s in (9, 9, 10))
+        assert a == b != c
+        assert len(a[0]) == 30 and set(a[0]) <= set(range(7))
 
-    def test_channel_mismatch(self):
-        ws = ShortcutMatrix.build(4, 2, seed=0)
-        with pytest.raises(GraphError):
-            shortcut_apply(ws, Tensor(np.zeros((1, 5))))
+    @pytest.mark.parametrize("name", sorted(PINNED_SELECTIONS))
+    def test_selections_pinned(self, name):
+        spec, selections = PINNED_SELECTIONS[name]
+        assert Network.build(spec, seed=0).shortcuts == selections
 
 
 class TestRunForward:
+    def test_unknown_mode_refused(self):
+        # a misspelt "train" would otherwise run an eval pass: no dropout and
+        # no update of the BNTT statistics
+        net, x = float32_fixture("backward_chunks")
+        with pytest.raises(GraphError, match="'trian'") as err:
+            run_forward(net, x, mode="trian")
+        assert "\n" not in str(err.value)
+        assert not net.state["L1.bntt_mean"].any()
+
     def test_forward_delay_shifts_payload(self):
         # one forward skip with delay 3 over T=4: the destination sees the
         # origin's step-0 output only at step 3, zeros before
