@@ -2,8 +2,8 @@
 
 Visual event streams arrive as CSV rows ``x,y,t_us,p`` (pixel coordinates,
 microsecond timestamp, polarity); audio spike streams as ``x,t_us`` (unit
-index, timestamp). Binning collapses a stream onto a [time, ...] tensor with
-binary cells: a cell is 1 if at least one event fell into it.
+index, timestamp). Binning collapses a stream onto a [time, ...] boolean
+tensor: a cell is True if at least one event fell into it.
 
 The delayed-recall generator is the desk-scale stand-in for long-range
 temporal tasks: a one-hot class cue appears at a random step, a trigger marks
@@ -25,7 +25,7 @@ import numpy as np
 
 from .graph import MAX_DATASET_BYTES, typed
 
-SpikeTensor = np.ndarray  # [time, ...feature dims], values in {0, 1}
+SpikeTensor = np.ndarray  # [time, ...feature dims], bool
 
 
 class DataError(Exception):
@@ -271,7 +271,7 @@ def _time_bins(ts: np.ndarray, window: float, T: int) -> np.ndarray:
 
 
 def bin_events(stream: EventStream | AudioSpikeStream, cfg: BinningConfig) -> SpikeTensor:
-    """Bin a stream onto [T, 2, H, W] (visual) or [T, units] (audio)."""
+    """Bin a stream onto bool [T, 2, H, W] (visual) or [T, units] (audio)."""
     window = cfg.window
     if window is None:
         window = float(stream.ts.max()) + 1.0 if len(stream) else 1.0
@@ -283,14 +283,18 @@ def bin_events(stream: EventStream | AudioSpikeStream, cfg: BinningConfig) -> Sp
         shape, cells = (cfg.T, 2, h, w), (stream.ps, stream.ys, stream.xs)
     else:
         shape, cells = (cfg.T, stream.num_units), (stream.units,)
-    out = np.zeros(shape)
-    out[(_time_bins(stream.ts, window, cfg.T), *cells)] = 1.0
+    out = np.zeros(shape, dtype=bool)
+    out[(_time_bins(stream.ts, window, cfg.T), *cells)] = True
     return out
 
 
 @dataclass
 class Dataset:
-    """Samples as [N, T, ...] spike tensors with integer labels."""
+    """Samples as [N, T, ...] spike tensors with integer labels.
+
+    The loaders here build ``inputs`` as a bool array, one byte per value;
+    any real-valued array works as well. A batch of it becomes float only in
+    ``graph.cast_input``, once per forward pass."""
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -312,8 +316,8 @@ def gen_delayed_recall(delay: int, length: int, n: int, classes: int = 10,
     Channels 0..classes-1 carry one-hot cues; the last channel carries the
     single trigger. The true cue sits at a random step t0, the trigger at
     t0 + delay, and every other step independently hosts a decoy one-hot cue
-    with probability ``noise``. Labels are exactly class-balanced and the
-    whole dataset is a pure function of the seed.
+    with probability ``noise``. The inputs are bool. Labels are exactly
+    class-balanced and the whole dataset is a pure function of the seed.
     """
     if not 0 <= delay < length:
         raise DataError(f"need 0 <= delay < length, got delay={delay}, length={length}")
@@ -323,16 +327,16 @@ def gen_delayed_recall(delay: int, length: int, n: int, classes: int = 10,
         raise DataError(f"noise must lie in [0, 1], got {noise}")
     rng = np.random.default_rng(seed)
     labels = rng.permutation(np.arange(n) % classes).astype(np.int64)
-    x = np.zeros((n, length, classes + 1))
+    x = np.zeros((n, length, classes + 1), dtype=bool)
     cue_steps = rng.integers(0, length - delay, size=n)
     for i in range(n):
         t0 = int(cue_steps[i])
         decoy_steps = rng.random(length) < noise
         decoy_steps[t0] = False
         decoy_class = rng.integers(0, classes, size=length)
-        x[i, decoy_steps, decoy_class[decoy_steps]] = 1.0
-        x[i, t0, labels[i]] = 1.0
-        x[i, t0 + delay, classes] = 1.0
+        x[i, decoy_steps, decoy_class[decoy_steps]] = True
+        x[i, t0, labels[i]] = True
+        x[i, t0 + delay, classes] = True
     return Dataset(inputs=x, labels=labels,
                    meta={"task": "delayed-recall", "delay": delay, "T": length,
                          "classes": classes, "noise": noise, "seed": seed,
@@ -340,12 +344,13 @@ def gen_delayed_recall(delay: int, length: int, n: int, classes: int = 10,
 
 
 def inject_noise(x: SpikeTensor, rate: float, seed: int = 0) -> SpikeTensor:
-    """Flip each zero cell to 1 with probability ``rate``."""
+    """Flip each zero cell to 1 with probability ``rate``; the result keeps
+    ``x``'s dtype, so a boolean spike tensor stays boolean."""
     if not 0.0 <= rate <= 1.0:
         raise DataError(f"rate must lie in [0, 1], got {rate}")
     rng = np.random.default_rng(seed)
     flips = rng.random(x.shape) < rate
-    return np.where((x == 0) & flips, 1.0, x)
+    return np.where((x == 0) & flips, x.dtype.type(1), x)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +410,8 @@ def _sample_entry(i: int, entry) -> tuple[str, int]:
 
 
 def load_dataset(manifest_path) -> Dataset:
-    """Read a manifest and all its sample files into one [N, T, units] tensor.
-    An error in a sample names its file as the manifest gives it."""
+    """Read a manifest and all its sample files into one bool [N, T, units]
+    tensor. An error in a sample names its file as the manifest gives it."""
     path = Path(manifest_path)
     if path.is_dir():
         path = path / "manifest.json"
@@ -429,7 +434,7 @@ def load_dataset(manifest_path) -> Dataset:
         entries = [_sample_entry(i, entry) for i, entry in enumerate(samples)]
         files = [name for name, _ in entries]
         labels = np.array([label for _, label in entries], dtype=np.int64)
-        inputs = np.zeros((len(files), T, units))
+        inputs = np.zeros((len(files), T, units), dtype=bool)
         (unit_of, ts), counts, error = _read_tables(
             [_read_sample(path.parent, name) for name in files], ("x", "t"), "spike",
             _SPIKE_CHECKS)
@@ -450,5 +455,5 @@ def load_dataset(manifest_path) -> Dataset:
             raise DataError(f"sample {name!r}, {failure}")
     if error:
         raise DataError(f"sample {files[len(counts)]!r}, {error}")
-    inputs[np.repeat(np.arange(len(counts)), counts), _time_bins(ts, window, T), unit_of] = 1.0
+    inputs[np.repeat(np.arange(len(counts)), counts), _time_bins(ts, window, T), unit_of] = True
     return Dataset(inputs=inputs, labels=labels, meta=meta)

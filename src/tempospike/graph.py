@@ -483,12 +483,15 @@ def _pass_dtype(dtype) -> np.dtype:
 
 
 def cast_input(x: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """``x`` in ``dtype``, without a copy if it is already, or ``GraphError``
-    if a value is not finite there: a finite float64 value beyond float32's
-    range would become an infinite float32 one."""
+    """``x`` as a C-contiguous array of ``dtype``, copied only if it is not
+    one already; this is the one place a batch of spikes becomes float.
+    ``GraphError`` if a value is not finite in ``dtype``: a finite float64
+    value beyond float32's range would become an infinite float32 one. A
+    bool or integer ``x`` holds only values that float32 holds finitely, so
+    only other sources are scanned."""
     with np.errstate(over="ignore"):
-        cast = x.astype(dtype, copy=False)
-    if not np.isfinite(cast).all():
+        cast = np.asarray(x, dtype, order="C")
+    if x.dtype.kind not in "biu" and not np.isfinite(cast).all():
         where = (f" in float32, whose range is ±{np.finfo(np.float32).max:.7g}"
                  if cast.dtype == np.float32 else "")
         raise GraphError(f"input holds non-finite values{where}")

@@ -110,5 +110,5 @@ def load_dataset_per_file(manifest_path) -> Dataset:
         except DataError as err:
             raise DataError(f"sample {entry['file']!r}, {err}") from None
         labels.append(entry["label"])
-    return Dataset(inputs=np.stack(inputs) if inputs else np.zeros((0, T, units)),
+    return Dataset(inputs=np.stack(inputs) if inputs else np.zeros((0, T, units), dtype=bool),
                    labels=np.asarray(labels, dtype=np.int64), meta=manifest.get("meta", {}))

@@ -1,6 +1,8 @@
+import hashlib
 import json
 from pathlib import Path
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -313,6 +315,15 @@ class TestInjectNoise:
         sigma = np.sqrt(n * rate * (1 - rate))
         assert abs(flipped - n * rate) <= 3 * sigma
 
+    @pytest.mark.parametrize("dtype", [bool, np.float64, np.float32])
+    def test_keeps_the_input_dtype(self, dtype):
+        x = (np.random.default_rng(7).random((20, 20)) < 0.3).astype(dtype)
+        out = inject_noise(x, 0.4, seed=8)
+        assert out.dtype == x.dtype
+        assert np.array_equal(out.astype(np.float64),
+                              inject_noise(x.astype(np.float64), 0.4, seed=8))
+        assert (out >= x).all() and (out > x).any()
+
     @given(rate=st.floats(0.0, 1.0))
     @settings(max_examples=25)
     def test_output_stays_binary(self, rate):
@@ -340,6 +351,7 @@ class TestRoundTrip:
     def test_save_refuses_non_binary_inputs(self, tmp_path, value):
         # each of these used to load back as 1.0
         ds = gen_delayed_recall(4, 20, 3, classes=3, seed=9)
+        ds.inputs = ds.inputs.astype(np.float64)  # a bool array would store True
         ds.inputs[1, 2, 0] = value
         with pytest.raises(DataError, match="0 and 1"):
             save_dataset(ds, tmp_path)
@@ -483,3 +495,46 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=r"^sample 'sample_00002\.csv', cannot read: ") as info:
             load_dataset(tmp_path)
         assert "\n" not in str(info.value)
+
+
+class TestBooleanSpikes:
+    """The loaders build bool tensors, one byte per value."""
+
+    VISUAL = "x,y,t_us,p\n0,0,0,1\n4,3,142,0\n4,3,143,0\n2,1,571,1\n2,1,571,1\n3,0,999,0\n"
+    AUDIO = "0,0\n5,10\n5,10\n1,33\n2,34\n4,89\n"
+    SAMPLES = ["0,0\n5,89\n", "", "3,45\n3,45\n3,46\n", "x,t\n1,9\n1,10\n2,80\n"]
+    # sha256 of the float64 arrays that the loaders built on these fixtures
+    # before they built bool ones
+    FLOAT64_SHA256 = {
+        "recall": "68450902eaaa9d844e35efa868a3c68e9124cb79c43578470d5f8077fe260546",
+        "visual": "a60aac333bdb0f979a86c01f6d28b89e3b59ecf21cdbbae28392cc0ac9438873",
+        "audio": "8cc1a62a0494bb86deb0747b597247180f8e549b7230768e7a1e99aee845ea4f",
+        "manifest": "dd2d696da112f0358e57bd2c6b5c8f81102f4eb2ca2e87e0d47e4902bc5eb45a",
+    }
+
+    def test_loaders_return_bool_equal_to_the_float_route(self, tmp_path):
+        arrays = {
+            "recall": gen_delayed_recall(6, 30, 40, classes=3, noise=0.7, seed=6).inputs,
+            "visual": bin_events(parse_events(self.VISUAL, sensor_size=(5, 4)),
+                                 BinningConfig(T=7, window=1000.0)),
+            "audio": bin_events(parse_audio_events(self.AUDIO, num_units=6), BinningConfig(T=9)),
+            "manifest": load_dataset(_write_manifest(tmp_path, 6, 9, 90, self.SAMPLES)).inputs,
+        }
+        for name, x in arrays.items():
+            assert x.dtype == bool, name
+            digest = hashlib.sha256(x.astype(np.float64).tobytes()).hexdigest()
+            assert digest == self.FLOAT64_SHA256[name], name
+
+    def test_load_peak_is_about_one_byte_per_value(self, tmp_path):
+        # 8 bytes per value, as a float64 tensor takes, is 16 MB here
+        n, T, units = 10, 500, 400
+        _write_manifest(tmp_path, units, T, T, [
+            "".join(f"{(i * 37 + k) % units},{k * 40}\n" for k in range(12)) for i in range(n)])
+        tracemalloc.start()
+        try:
+            ds = load_dataset(tmp_path / "manifest.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.inputs.shape == (n, T, units) and ds.inputs.sum() == n * 12
+        assert peak <= 2 * ds.inputs.size + 2**20

@@ -467,6 +467,32 @@ class TestFloat32Pass:
             assert "\n" not in str(err.value)
             run_forward(net, x)  # finite in float64
 
+    @pytest.mark.parametrize("source", [bool, np.int8, np.int64, np.uint64])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_cast_of_bool_or_int_input_skips_the_scan(self, monkeypatch, source, dtype):
+        # such a source holds no value that is not finite in float32
+        x = np.random.default_rng(2).integers(0, 2, (3, 5, 4)).astype(source).transpose(1, 0, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.isfinite called")
+
+        monkeypatch.setattr(np, "isfinite", refuse)
+        cast = graph.cast_input(x, dtype)
+        assert cast.dtype == dtype and cast.flags.c_contiguous
+        assert np.array_equal(cast, x)
+
+    @pytest.mark.parametrize("dtype, value, message", [
+        (np.float64, np.nan, r"^input holds non-finite values$"),
+        (np.float32, 1e39, r"^input holds non-finite values in float32, whose range is "
+                           r"±3\.402823e\+38$"),
+    ])
+    def test_cast_of_float_input_keeps_the_scan(self, dtype, value, message):
+        x = np.zeros((5, 3, 4))
+        x[4, 2, 1] = value
+        with pytest.raises(GraphError, match=message):
+            graph.cast_input(x.transpose(1, 0, 2), dtype)
+        assert graph.cast_input(x[:4].transpose(1, 0, 2), dtype).flags.c_contiguous
+
     def test_float32_input_to_a_taped_float64_step_is_bit_identical(self):
         # the float64 pass widens a float32 x once; loss and every gradient
         # equal those of the same x cast to float64 by the caller

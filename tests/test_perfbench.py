@@ -69,3 +69,19 @@ def test_traced_node_counts_cover_every_taped_op(monkeypatch):
     assert {"conv2d", "bntt_seq", "dropout", "select_channels", "concat"} <= set(counted)
     assert counted == dict(taped)
     assert sum(counted.values()) == len(tape.nodes)
+
+
+def test_workloads_read_boolean_inputs(tmp_path, monkeypatch):
+    # the benchmark's datasets and probe reach the program as the loaders
+    # build them, one byte per value
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import RecallTrain, ShdSearch, load_visual_set, write_visual_set
+
+    visual = load_visual_set(write_visual_set(tmp_path / "visual", 4, 1, T=5, window_us=500,
+                                              events=20))
+    recall_work = RecallTrain(1, tmp_path)
+    recall = recall_work.read(recall_work.write(tmp_path / "recall", 4, 2, 1)[0])
+    _, probe = ShdSearch.read(ShdSearch(1, tmp_path).write_probe(tmp_path / "probe", 1))
+    assert visual.inputs.dtype == recall.inputs.dtype == probe.dtype == bool
+    assert visual.inputs.shape == (4, 5, 2, 16, 16) and visual.inputs.any()
+    assert recall.inputs.shape == (4, 99, 11) and probe.shape[1] == ShdSearch.probe_batch

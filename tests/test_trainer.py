@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tempospike.data import Dataset
+from tempospike import trainer
+from tempospike.data import Dataset, gen_delayed_recall
 from tempospike.engine import Tensor
 from tempospike.graph import TSkip, mlp_spec
 from tempospike.trainer import (
@@ -150,6 +151,44 @@ class TestTrainLoop:
         train(spec, ds, cfg, val_ds=ds, log_path=tmp_path / "a.csv")
         train(spec, ds, cfg, val_ds=ds, log_path=tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("tskip", [TSkip(0, 1, 2), TSkip(2, 1, 1)],
+                             ids=["forward edge", "backward edge"])
+    def test_bool_dataset_trains_as_its_float64_cast(self, tmp_path, tskip):
+        # a bool batch becomes float64 once, in cast_input: every loss,
+        # parameter gradient and metrics.csv byte equals the float64 run's
+        ds = gen_delayed_recall(2, 8, 24, classes=3, seed=1)
+        assert ds.inputs.dtype == bool
+        spec = mlp_spec([4, 8, 8, 3], T=8, tskips=[tskip])
+        cfg = TrainConfig(epochs=2, batch_size=8, lr_init=0.01, seed=2, bntt=True, dropout=0.2,
+                          loss="cross_entropy")
+
+        def run(inputs, log):
+            losses, grads = [], []
+            step, loss_of = trainer.adam_step, trainer.loss
+
+            def recorded_step(params, g, *args):
+                grads.append({k.name: v.copy() for k, v in g.items()})
+                return step(params, g, *args)
+
+            def recorded_loss(*args):
+                value = loss_of(*args)
+                losses.append(value.item())
+                return value
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(trainer, "adam_step", recorded_step)
+                patch.setattr(trainer, "loss", recorded_loss)
+                train(spec, Dataset(inputs, ds.labels), cfg,
+                      val_ds=Dataset(inputs[:8], ds.labels[:8]), log_path=log)
+            return losses, grads, log.read_bytes()
+
+        losses_a, grads_a, log_a = run(ds.inputs, tmp_path / "bool.csv")
+        losses_b, grads_b, log_b = run(ds.inputs.astype(np.float64), tmp_path / "float64.csv")
+        assert len(grads_a) == 6 and losses_a == losses_b and log_a == log_b
+        for ga, gb in zip(grads_a, grads_b):
+            assert ga.keys() == gb.keys()
+            assert all(np.array_equal(ga[k], gb[k]) for k in ga)
 
     def test_dropout_zero_matches_default(self):
         ds = separable_dataset(n=24)
