@@ -16,8 +16,6 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import nas
 from .data import DataError, Dataset, gen_delayed_recall, load_dataset, save_dataset
 from .graph import (
@@ -156,8 +154,7 @@ def cmd_search(args) -> int:
     _refuse_above_bound("probe", probe_shape)
     _write_run_record(out, "search", args)
     probe_rng = split_seed(args.seed, "probe")
-    probe = (probe_rng.random(probe_shape) < 0.1)
-    probe = probe.astype(np.float64)
+    probe = probe_rng.random(probe_shape) < 0.1
     ranked = nas.random_search(space, args.n, probe, args.k,
                                master_seed=args.seed, parallel=args.parallel)
     lines = ["rank,score,params,depth,tskips,spec_path"]

@@ -15,6 +15,8 @@ from .tensor import Array, EngineError, ShapeError, Tensor, active_tape, record
 
 _HALF_PI = math.pi / 2.0
 
+SPIKE_MODES = ("hard", "soft")
+
 
 @dataclass(frozen=True)
 class SurrogateConfig:
@@ -98,7 +100,7 @@ def spike(membrane: Tensor, threshold: Tensor, cfg: SurrogateConfig,
     training. The spike node keeps no z: its backward pass rebuilds z from
     the membrane, which ``normalized_drive`` keeps anyway, and the threshold.
     """
-    if mode not in ("hard", "soft"):
+    if mode not in SPIKE_MODES:
         raise ValueError(f"unknown spike mode {mode!r}")
     alpha = cfg.alpha_surr
     z = normalized_drive(membrane, threshold)
@@ -432,7 +434,7 @@ def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_m
     tape the node keeps the membranes and the spikes, hard spikes as a
     boolean array, one byte per value.
     """
-    if spike_mode not in ("hard", "soft"):
+    if spike_mode not in SPIKE_MODES:
         raise ValueError(f"unknown spike mode {spike_mode!r}")
     recording = active_tape() is not None
     if init is not None and recording:

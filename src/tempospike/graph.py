@@ -10,8 +10,10 @@ within a chunk. C is T for a graph with forward edges only. With a backward
 edge, C is its shortest delay (1 with a blend), or 1 while a tape records, so
 a chunk reads a later layer only at steps of earlier chunks. Each layer that a
 payload reads keeps its chunk outputs, a delayed payload is a window of them,
-and neuron state carries from chunk to chunk. Steps before the start of the
-sequence read zeros, which keeps the graph causal by construction.
+and neuron state carries from chunk to chunk: as tape tensors through
+``lif_step`` when a tape records one-step chunks, and otherwise as the arrays
+``lif_scan`` returns, whatever C is. Steps before the start of the sequence
+read zeros, which keeps the graph causal by construction.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .engine import (
     stack,
     window,
 )
-from .neuron import LifParams, LifState, init_violations, lif_step
+from .neuron import RESET_MODES, LifParams, LifState, init_violations, lif_step
 
 LAYER_KINDS = ("dense", "conv2d")
 ACTIVATIONS = ("lif", "relu", "li", "linear")
@@ -194,7 +196,7 @@ def checked_param_table(spec: ArchSpec) -> tuple[list[str], list[ParamSpec]]:
         v.append(f"bad input shape {spec.input_shape}")
     if not spec.layers:
         v.append("network has no layers")
-    if spec.reset not in ("soft", "hard"):
+    if spec.reset not in RESET_MODES:
         v.append(f"unknown reset mode {spec.reset!r}")
     v += init_violations(spec.leak_init, spec.threshold_init)
 
@@ -426,10 +428,11 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
     graph without backward edges, where a delayed skip is its origin's
     sequence shifted by ``delta_t`` steps. With a backward edge, C is the
     shortest delay of a backward edge (1 for one with a blend), or 1 while a
-    tape records: the state a one-step chunk carries into the next is made of
-    tape tensors, while longer chunks carry arrays that no backward pass
-    reaches. Every C gives the same result up to the rounding of batched
-    matrix products; dropout draws one mask per layer per chunk. ``collect``
+    tape records: one-step chunks under a tape carry their state into the
+    next as tape tensors, while every chunk of a tape-free pass, whatever its
+    length, carries ``lif_scan``'s arrays, which no backward pass reaches.
+    Every C gives the same result up to the rounding of batched matrix
+    products; dropout draws one mask per layer per chunk. ``collect``
     maps layer indices in [0, depth] to slots that receive that layer's raw
     output sequence as a [T, batch, ...] array; layer 0 receives ``x`` cast
     to ``dtype``.
@@ -508,7 +511,8 @@ def _cast_network(net: Network, dtype: np.dtype) -> Network:
 
 def _chunk_steps(spec: ArchSpec) -> int:
     """Steps per chunk: T without a backward edge. With one, 1 while a tape
-    records, and otherwise the shortest delay of a backward edge, counting an
+    records, so that the state carried between chunks is made of tape
+    tensors, and otherwise the shortest delay of a backward edge, counting an
     edge with a blend as 1 because its "now" term reads the step before. A
     chunk then reads a backward edge's origin only at steps of earlier
     chunks."""
@@ -574,10 +578,12 @@ def _run_chunked(net: Network, x: np.ndarray, training: bool, spike_mode: str,
     blocks. Each layer that a skip payload, ``collect`` or the result reads
     keeps the list of its chunk outputs; without a tape, any other layer's
     output is freed once the next layer has read it. Each LIF and accumulator
-    layer carries its state into the next chunk. Several one-step chunks
-    carry it as tape tensors, through ``lif_step``'s ``LifState`` and the
-    accumulator's own output; longer chunks carry ``lif_scan``'s arrays, which
-    no backward pass reaches, so several of them run without a tape only."""
+    layer carries its state into the next chunk. Under a tape, several
+    one-step chunks carry it as tape tensors, through ``lif_step``'s
+    ``LifState`` and the accumulator's own output, and their outputs are
+    stacked; without a tape, every chunk, one step long or longer, carries
+    ``lif_scan``'s arrays, which no backward pass reaches, and the outputs are
+    joined by ``window``."""
     spec = net.spec
     T, batch = x.shape[:2]
     steps = _chunk_steps(spec)
@@ -587,8 +593,9 @@ def _run_chunked(net: Network, x: np.ndarray, training: bool, spike_mode: str,
     kept = {e.origin for e in spec.tskips} | (set(collect or ()) - {0}) | {spec.depth}
     history: dict[int, list[Tensor]] = {l: [] for l in kept}
     carry: dict[int, object] = {}  # per layer, the state at the end of the last chunk
-    if 1 == steps < T:
-        carry = {l: LifState.zeros((batch,) + net.shapes[l], x.dtype)
+    taped_steps = active_tape() is not None and 1 == steps < T
+    if taped_steps:
+        carry = {l: LifState.zeros((batch,) + net.shapes[l])
                  for l, layer in enumerate(spec.layers, start=1) if layer.activation == "lif"}
     for s in range(0, T, steps):
         e = min(s + steps, T)
@@ -610,8 +617,8 @@ def _run_chunked(net: Network, x: np.ndarray, training: bool, spike_mode: str,
         rows = chunks[0].data if len(chunks) == 1 else np.concatenate([c.data for c in chunks])
         collect[l] = rows.reshape((T, batch) + net.shapes[l])
     out = history[spec.depth]
-    # under a tape, stacking the one-step outputs keeps their gradients
-    outputs = (stack(out) if 1 == steps < T else
+    # stacking the taped one-step outputs keeps their gradients
+    outputs = (stack(out) if taped_steps else
                reshape(window(out, 0, T * batch), (T, batch) + net.shapes[spec.depth]))
     return ForwardResult(outputs=outputs, stats=stats)
 

@@ -66,9 +66,8 @@ class LifState:
     prev_spikes: Tensor
 
     @classmethod
-    def zeros(cls, shape, dtype=np.float64) -> "LifState":
-        return cls(membrane=Tensor(np.zeros(shape, dtype)),
-                   prev_spikes=Tensor(np.zeros(shape, dtype)))
+    def zeros(cls, shape) -> "LifState":
+        return cls(membrane=Tensor(np.zeros(shape)), prev_spikes=Tensor(np.zeros(shape)))
 
 
 def lif_step(state: LifState, weighted_input: Tensor, params: LifParams,

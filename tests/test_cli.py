@@ -387,6 +387,10 @@ BROKEN_INPUTS = {
         _spec_file(tmp, leak_init=0.9995), data / "train")),
     "spec layer width 2000000000": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp, layers=[{"kind": "dense", "out": 2000000000}, 3]), data / "train")),
+    "spec conv layer after a dense layer": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp, layers=[{"kind": "dense", "out": 8},
+                                {"kind": "conv2d", "out": 3, "kernel": 3, "stride": 1,
+                                 "activation": "li"}]), data / "train")),
     "spec edge alpha_init NaN": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp, tskips=[{"origin": 0, "dest": 1, "delta_t": 1, "alpha": True,
                                  "alpha_init": float("nan")}]), data / "train")),
@@ -550,6 +554,12 @@ BROKEN_INPUTS = {
 }
 
 
+# What the one-line message of some rows of BROKEN_INPUTS must name.
+BROKEN_INPUT_MESSAGES = {
+    "spec conv layer after a dense layer": "layer 2: conv2d needs a (c, h, w) input, got (8,)",
+}
+
+
 @pytest.mark.parametrize("case", sorted(BROKEN_INPUTS))
 def test_broken_input_exits_with_message(case, tmp_path, tiny_data, capsys):
     code, argv = BROKEN_INPUTS[case]
@@ -557,6 +567,7 @@ def test_broken_input_exits_with_message(case, tmp_path, tiny_data, capsys):
     assert main(argv(tmp_path, tiny_data) + ["--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err.strip()
     assert "error" in err and "\n" not in err, err
+    assert BROKEN_INPUT_MESSAGES.get(case, "") in err, err
 
 
 def test_out_of_range_label_in_evaluation_exits_2(tmp_path, tiny_data):

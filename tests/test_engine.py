@@ -826,7 +826,7 @@ class TestTapeKeys:
 
     def test_tape_free_forward_never_packs(self, monkeypatch):
         # dense and conv layers, dropout, and a backward edge with one-step
-        # chunks, which run lif_update
+        # chunks, which run lif_scan from the last chunk's arrays
         def never(a):
             raise AssertionError("packed without a tape")
 

@@ -3,6 +3,7 @@
 backward-edge graph records, and which gradients a backward pass returns."""
 
 import contextlib
+import hashlib
 import tracemalloc
 from collections import Counter
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from step_reference import run_steps
 
-from tempospike import graph, trainer
+from tempospike import graph, neuron, trainer
 from tempospike.data import Dataset
 from tempospike.engine import SurrogateConfig, Tape, Tensor, mse, ops, tensor
 from tempospike.graph import (ArchSpec, LayerSpec, Network, TSkip, from_shorthand, run_forward,
@@ -202,6 +203,84 @@ def test_tape_free_chunks_match_time_major():
             for name, arr in net.state.items():
                 assert _close(arr, ref_net.state[name]), f"{tag}: {name}"
     assert all(n >= 3 for n in seen.values()), seen
+
+
+ONE_STEP_SPECS = {
+    "add back edge dt=1, BNTT": graph.mlp_spec(
+        [5, 6, 6, 3], T=5, tskips=[TSkip(2, 1, 1, merge="add")], bntt=True),
+    "blended concat back edge, hard reset": graph.mlp_spec(
+        [5, 6, 6, 3], T=5, reset="hard", tskips=[TSkip(2, 1, 2, alpha=True, alpha_init=0.3)]),
+    "conv back edge dt=1, BNTT": from_shorthand(
+        "2x6x6-3c3s1-3c4s1-3", T=4, tskips=[TSkip(2, 1, 1)], bntt=True),
+}
+# sha256 of each tape-free one-step pass's outputs, spike counts, collected
+# layers 0..depth and BNTT running statistics, recorded from the per-step
+# lif_step chain, whose values lif_scan repeats bit for bit
+ONE_STEP_DIGESTS = {
+    ("add back edge dt=1, BNTT", "eval", "hard", "float64"):
+        "4f0aafc6b7658d04a71d853a041f7961ebd8e48925994a14ce5c2dc3a0721b76",
+    ("add back edge dt=1, BNTT", "eval", "soft", "float64"):
+        "667a9e3d4be66cd6fb01f4337ab34b199049b5170469eaccdbe67101638ac5df",
+    ("add back edge dt=1, BNTT", "eval", "hard", "float32"):
+        "4310c73f5f5ca09355cc71460b912d32e600382ad30e5819030eeae688e9e2eb",
+    ("add back edge dt=1, BNTT", "eval", "soft", "float32"):
+        "767fbbb440a032af26f5ecd431d09025d27d7991e101ce7b6b890ae053cfe99e",
+    ("add back edge dt=1, BNTT", "train", "hard", "float64"):
+        "a21cd29650dcaf28e0ed639de25e16cafd8a43048ec7c58229c23fa286684d8e",
+    ("add back edge dt=1, BNTT", "train", "soft", "float64"):
+        "3a7611fcd0c45e6a620db3a200373076c3b7680d63b8d60dfaa5e84af4969438",
+    ("blended concat back edge, hard reset", "eval", "hard", "float64"):
+        "87fc86389984e3a8c42bd2aea80b67f69def1bfe07011a5a086e04e175ac4fc4",
+    ("blended concat back edge, hard reset", "eval", "soft", "float64"):
+        "0684d3ec2df07b47b9d5c1e56cec2121b2087a12bf77689920b0fcc05758ea6e",
+    ("blended concat back edge, hard reset", "eval", "hard", "float32"):
+        "fd90b05be1055d6eb204f6c79d98ab29403f117a8198b564b2973b28cc3646a7",
+    ("blended concat back edge, hard reset", "eval", "soft", "float32"):
+        "032df7da21479a8503970c01d5a9f0c3d3a45143e2bd83b688f6b9ae627d2902",
+    ("blended concat back edge, hard reset", "train", "hard", "float64"):
+        "5aac2f7be55e3e393e724b05be4353158818c80f747cf36c1e7577c0cc11a1bc",
+    ("blended concat back edge, hard reset", "train", "soft", "float64"):
+        "f82fb06cfd999162e0d224eac7a6344425bfcd70bf47e61baff6751b4aa8c804",
+    ("conv back edge dt=1, BNTT", "eval", "hard", "float64"):
+        "a8929f00955478dac3de6b6e97c2d753660432582c089e6cfc38c4aea43c5c69",
+    ("conv back edge dt=1, BNTT", "eval", "soft", "float64"):
+        "85f42e431ea594a04e22bb475116627795fdd2b81eb55af5be54ad8789172b37",
+    ("conv back edge dt=1, BNTT", "eval", "hard", "float32"):
+        "a576db37635e79a3290d16dbc7ee9523b24b4487a3d70d678a780929c5abd3f0",
+    ("conv back edge dt=1, BNTT", "eval", "soft", "float32"):
+        "ffb3e7eb4989caa50b6d04e23719525006890e3ec0435fb53e01cf9a9b52c622",
+    ("conv back edge dt=1, BNTT", "train", "hard", "float64"):
+        "8861cc4ee2b4678e0348c84f9da5be3510a78a75bb3bb21ec245ed70254dd357",
+    ("conv back edge dt=1, BNTT", "train", "soft", "float64"):
+        "c48e9b53dc230450906981266ecc88bc66eade2ae16fd79724b0af0b21388761",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_STEP_DIGESTS), ids=" / ".join)
+def test_tape_free_one_step_chunks_run_lif_scan_with_the_chain_values(monkeypatch, case):
+    # without a tape, one-step chunks carry LIF state through lif_scan's
+    # arrays and join their outputs by window, to the bit of the per-step chain
+    name, mode, spike_mode, dtype = case
+    spec = ONE_STEP_SPECS[name]
+    assert graph._chunk_steps(spec) == 1
+
+    def never(*args, **kwargs):
+        raise AssertionError("a tape-free pass ran the per-step chain")
+
+    for module, attr in ((graph, "lif_step"), (graph, "stack"), (neuron, "lif_update"),
+                         (neuron, "spike"), (ops, "lif_update"), (ops, "normalized_drive"),
+                         (ops, "spike")):
+        monkeypatch.setattr(module, attr, never)
+    net = Network.build(spec, seed=3)
+    x = np.random.default_rng(5).random((spec.T, 4) + spec.input_shape) < 0.4
+    layers = {l: None for l in range(spec.depth + 1)}
+    result = run_forward(net, x, mode=mode, spike_mode=spike_mode, dropout=0.2,
+                         rng=np.random.default_rng(7), collect=layers, dtype=dtype)
+    digest = hashlib.sha256()
+    for a in ([result.outputs.data] + [result.stats.counts[l] for l in sorted(result.stats.counts)]
+              + [layers[l] for l in sorted(layers)] + [net.state[k] for k in sorted(net.state)]):
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == ONE_STEP_DIGESTS[case]
 
 
 def test_taped_backward_edges_match_time_major_exactly():

@@ -117,6 +117,33 @@ class TestPresets:
             for e in spec.tskips:
                 assert 10 <= e.delta_t <= 45
 
+    def test_flow_search_samples_conv_stacks_and_ranks_repeatably(self):
+        # the flow preset, reduced in T, widths and probe: its draws take the
+        # conv branch, kernel and stride included
+        space = preset_space("flow", T=5, width_range=(2, 6), delta_t_range=(2, 4))
+        rng = np.random.default_rng(6)
+        specs = [sample(space, rng) for _ in range(200)]
+        for spec in specs:
+            assert validate(spec) == []
+            assert (spec.input_shape, spec.T, spec.reset) == ((2, 16, 16), 5, "hard")
+            assert all(l.kind == "conv2d" and l.activation == "lif"
+                       and l.kernel in space.kernel_choices and l.stride in space.stride_choices
+                       for l in spec.layers[:-1])
+            assert spec.layers[-1] == LayerSpec("dense", 2, activation="li")
+        drawn = {(l.kernel, l.stride) for spec in specs for l in spec.layers[:-1]}
+        assert drawn == {(k, s) for k in space.kernel_choices for s in space.stride_choices}
+
+        probes = probe_batch(space, b=4, seed=2, rate=0.1)
+
+        def ranking(parallel):
+            return [(c.score, c.seed, c.spec)
+                    for c in random_search(space, 6, probes, 6, master_seed=9, parallel=parallel)]
+
+        serial = ranking(None)
+        assert len({score for score, _, _ in serial}) == 6  # an order to repeat
+        assert ranking(None) == serial
+        assert ranking(2) == serial
+
     def test_unknown_preset(self):
         with pytest.raises(SearchError):
             preset_space("imagenet")

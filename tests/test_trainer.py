@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import check_grads, spec_loss_builder
 from tempospike import trainer
 from tempospike.data import Dataset, gen_delayed_recall
 from tempospike.engine import Tensor
-from tempospike.graph import TSkip, mlp_spec
+from tempospike.graph import TSkip, from_shorthand, mlp_spec
+from tempospike.metrics import energy_total, profile_network
 from tempospike.trainer import (
     AdamState,
     CosineSchedule,
@@ -298,6 +300,25 @@ class TestEvaluateAndCheckpoint:
         assert acc_a == acc_b
         for name in net.params:
             assert np.array_equal(net.params[name].data, restored.params[name].data)
+
+    def test_conv_readout_trains_evaluates_profiles_and_differentiates(self):
+        # a conv accumulator readout: readout_logits sums its potentials over
+        # the steps and averages its map, so its logits are [batch, channels]
+        spec = from_shorthand("2x6x6-3c4s1-3c3s1", T=4)
+        rng = np.random.default_rng(4)
+        ds = Dataset(rng.random((12, 4, 2, 6, 6)) < 0.4, rng.integers(0, 3, size=12))
+        cfg = TrainConfig(epochs=1, batch_size=4, seed=2, bntt=False, loss="cross_entropy")
+        net, records = train(spec, ds, cfg)
+        assert [r.split for r in records] == ["train"] and math.isfinite(records[0].loss)
+        eval_loss, acc, stats = evaluate(net, ds, cfg)
+        assert math.isfinite(eval_loss) and 0.0 <= acc <= 1.0 and stats.samples == 12
+        assert list(stats.counts) == [1] and stats.counts[1].any()
+        rows = energy_total(profile_network(spec, stats)).rows
+        assert [(r["layer"], r["kind"], r["neurons"], r["fan_in"]) for r in rows] == [
+            ("L1", "snn", 4 * 6 * 6, 2 * 3 * 3), ("L2", "snn", 3 * 6 * 6, 4 * 3 * 3)]
+        assert rows[0]["energy_j"] > 0.0 and rows[1]["ops"] == 0.0
+        grad_net, build_loss = spec_loss_builder(spec, seed=6)
+        check_grads(build_loss, list(grad_net.params.values()), tol=1e-4)
 
     def test_epoch_record_csv_shape(self):
         rec = EpochRecord(3, "val", 0.25, 0.9, 1.5, 1e-3)
