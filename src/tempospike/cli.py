@@ -16,6 +16,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import nas
 from .data import DataError, Dataset, gen_delayed_recall, load_dataset, save_dataset
 from .graph import (
@@ -154,7 +156,11 @@ def cmd_search(args) -> int:
     _refuse_above_bound("probe", probe_shape)
     _write_run_record(out, "search", args)
     probe_rng = split_seed(args.seed, "probe")
-    probe = probe_rng.random(probe_shape) < 0.1
+    # one step's uniforms at a time: the same draws as one call, without the
+    # whole probe in float64
+    probe = np.empty(probe_shape, dtype=bool)
+    for step in probe:
+        np.less(probe_rng.random(probe_shape[1:]), 0.1, out=step)
     ranked = nas.random_search(space, args.n, probe, args.k,
                                master_seed=args.seed, parallel=args.parallel)
     lines = ["rank,score,params,depth,tskips,spec_path"]

@@ -16,6 +16,7 @@ from .tensor import Array, EngineError, ShapeError, Tensor, active_tape, record
 _HALF_PI = math.pi / 2.0
 
 SPIKE_MODES = ("hard", "soft")
+RESET_MODES = ("soft", "hard")
 
 
 @dataclass(frozen=True)
@@ -367,17 +368,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return record((x, w, b), out, back)
 
 
-def _lif_membrane(membrane: Array, drive: Array, prev_spikes: Array, leak: Array,
-                  threshold: Array, reset_mode: str) -> Array:
-    """The membrane arithmetic of one step, shared by ``lif_update`` and
-    ``lif_scan`` so both round identically."""
-    if reset_mode == "soft":
-        return leak * membrane + drive - threshold * prev_spikes
-    if reset_mode == "hard":
-        return leak * (membrane * (1.0 - prev_spikes)) + drive
-    raise ValueError(f"unknown reset mode {reset_mode!r}")
-
-
 def lif_update(membrane: Tensor, drive: Tensor, prev_spikes: Tensor,
                leak: Tensor, threshold: Tensor, reset_mode: str) -> Tensor:
     """One fused membrane step.
@@ -389,13 +379,16 @@ def lif_update(membrane: Tensor, drive: Tensor, prev_spikes: Tensor,
     previous spikes through ``pack_spikes``, so hard spikes and the zero start
     take one byte per value.
     """
+    if reset_mode not in RESET_MODES:
+        raise ValueError(f"unknown reset mode {reset_mode!r}")
     lk = leak.data
     th = threshold.data
     u = membrane.data
-    out = _lif_membrane(u, drive.data, prev_spikes.data, lk, th, reset_mode)
-    kept = (pack_spikes(prev_spikes.data) if active_tape() is not None
-            else (prev_spikes.data, None))
+    prev = prev_spikes.data
+    kept = pack_spikes(prev) if active_tape() is not None else (prev, None)
     if reset_mode == "soft":
+        out = lk * u + drive.data - th * prev
+
         def back(g):
             g_mem = g * lk
             g_prev = -g * th
@@ -404,6 +397,8 @@ def lif_update(membrane: Tensor, drive: Tensor, prev_spikes: Tensor,
             return g_mem, g, g_prev, g_leak, g_th
 
     else:
+        out = lk * (u * (1.0 - prev)) + drive.data
+
         def back(g):
             keep = 1.0 - unpack_spikes(kept)
             retained = u * keep
@@ -426,14 +421,19 @@ def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_m
     batch, ...], and the output has the same layout. Each step is
     ``lif_update`` followed by ``normalized_drive`` and ``spike`` with the same
     rounding, starting from ``init``, the state a previous call returned, or
-    from zero membrane and spikes. The backward pass is a reverse scan that
+    from zero membrane and spikes. The forward loop writes each step into
+    preallocated rows; hard spikes are tested as U / V_th > 1, which holds
+    exactly when U / V_th - 1 > 0, straight into a boolean array that is cast
+    to the float output once. The backward pass is a reverse scan that
     carries the membrane and spike gradients one step back and does all
     elementwise work on one step's slice at a time, so it stays in cache; the
     leak and threshold gradients are accumulated per step. It does not reach
     ``init``, so an initial state while a tape records is an error. Under a
-    tape the node keeps the membranes and the spikes, hard spikes as a
+    tape the node keeps the membranes and the spikes, hard spikes as the
     boolean array, one byte per value.
     """
+    if reset_mode not in RESET_MODES:
+        raise ValueError(f"unknown reset mode {reset_mode!r}")
     if spike_mode not in SPIKE_MODES:
         raise ValueError(f"unknown spike mode {spike_mode!r}")
     recording = active_tape() is not None
@@ -443,21 +443,46 @@ def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_m
     th = threshold.data
     alpha = cfg.alpha_surr
     d = drive.data.reshape(steps, -1)
-    # membranes are kept for the backward pass only when a tape records it
-    u_seq = np.empty_like(d) if recording else None
+    # the dtype lif_update's arithmetic promotes the membrane to
+    dtype = np.result_type(d, lk, th)
+    # membranes are kept for the backward pass only when a tape records it;
+    # without one, every step overwrites one row
+    u_seq = np.empty(d.shape, dtype) if recording else None
+    # allocated before the loop even when hard spikes fill it only at the end:
+    # allocated after it, the output made the heap grow by about its own size
+    # (recall_train peak RSS 89.5 -> 96.3 MB)
     o_seq = np.empty_like(d)
-    # hard spikes are made as booleans, which the backward pass keeps: 1.0 -
-    # True is 0.0 and a product with True is the other factor
+    # hard spikes are made as booleans, which the backward pass keeps and the
+    # next step reads: 1.0 - True is 0.0 and a product with True is the other
+    # factor
     bits = np.empty(d.shape, dtype=bool) if spike_mode == "hard" else None
+    work = None if recording else np.empty(d.shape[1], dtype)
+    tmp = np.empty(d.shape[1], dtype)
     u, o = init if init is not None else (np.zeros(d.shape[1], d.dtype),) * 2
     for t in range(steps):
-        u = _lif_membrane(u, d[t], o, lk, th, reset_mode)
-        if u_seq is not None:
-            u_seq[t] = u
-        z = _drive(u, th)
-        o_seq[t] = (soft_spike_forward(z, alpha) if bits is None
-                    else np.greater(z, 0.0, out=bits[t]))
-        o = o_seq[t]
+        un = work if u_seq is None else u_seq[t]
+        if reset_mode == "soft":  # leak * U + drive - threshold * prev_spikes
+            np.multiply(lk, u, out=un)
+            un += d[t]
+            np.multiply(th, o, out=tmp)
+            un -= tmp
+        else:  # leak * (U * (1 - prev_spikes)) + drive
+            np.subtract(1.0, o, out=tmp)
+            np.multiply(u, tmp, out=un)
+            np.multiply(lk, un, out=un)
+            un += d[t]
+        u = un
+        np.divide(u, th, out=tmp)
+        if bits is None:
+            tmp -= 1.0
+            o_seq[t] = soft_spike_forward(tmp, alpha)
+            o = o_seq[t]
+        else:
+            o = np.greater(tmp, 1.0, out=bits[t])
+    if bits is not None:
+        np.copyto(o_seq, bits)
+        if steps:
+            o = o_seq[-1]
     o_kept = o_seq if bits is None else bits
     rows, drive_shape = d.shape, drive.shape
 
@@ -495,8 +520,9 @@ def lif_scan(drive: Tensor, leak: Tensor, threshold: Tensor, steps: int, reset_m
         return (gd.reshape(drive_shape), np.asarray(g_leak).reshape(leak.shape),
                 np.asarray(g_th).reshape(threshold.shape))
 
-    # a copy, so that the state does not keep the whole spike sequence alive
-    return record((drive, leak, threshold), o_seq.reshape(drive.shape), back), (u, o.copy())
+    # copies, so that the state keeps neither whole sequence alive
+    state = (u.copy() if recording else u, o.copy())
+    return record((drive, leak, threshold), o_seq.reshape(drive.shape), back), state
 
 
 def li_scan(drive: Tensor, leak: Tensor, init: Tensor) -> Tensor:

@@ -10,6 +10,12 @@ sum the resulting layer kernels, and take the log-determinant. Networks whose
 probes produce diverse spike patterns get well-conditioned kernels and high
 scores; networks that collapse probes onto identical patterns are rank
 deficient and score near the regularization floor.
+
+The forward pass runs in float32 without a tape, and each layer's spikes
+become booleans once. A layer's kernel comes from one Gram product of its
+bits, in float32 below 2**24 columns, where every sum of 0/1 values is exact:
+silent columns add nothing to it, so the agreements over active columns
+follow from it and the spike counts exactly.
 """
 
 from __future__ import annotations
@@ -159,29 +165,37 @@ def sample(space: SearchSpace, rng: np.random.Generator,
 
 def _binarize(seq: np.ndarray) -> np.ndarray:
     """Flatten a layer's [T, B, ...] output sequence into (B, T * features)
-    bits, step-major within each row."""
-    return np.moveaxis(seq > 0, 0, 1).reshape(seq.shape[1], -1).astype(np.float64)
+    boolean bits, step-major within each row."""
+    return np.moveaxis(seq > 0, 0, 1).reshape(seq.shape[1], -1)
+
+
+# below this many columns a float32 product of 0/1 values sums exactly
+_EXACT_F32_COLUMNS = 1 << 24
 
 
 def sahd_kernel(layer_trains: list[np.ndarray]) -> tuple[np.ndarray, bool]:
     """Pairwise agreement kernel over active positions, summed across layers.
 
-    For each layer: restrict to columns where any sample spiked, count
-    matching bits per sample pair, and divide by the active-column count.
-    Returns the kernel and a degeneracy flag (True if every layer was silent).
+    For each layer: count matching bits per sample pair over the n columns
+    where any sample spiked, and divide by n. Columns where no sample spiked
+    add nothing to the Gram matrix G = bits @ bits.T or to the spike counts
+    r = diag(G), so samples i and j agree on n - r_i - r_j + 2 G_ij active
+    columns: one product per layer. Every term is an exact integer, float32
+    products included while a layer has fewer than 2**24 columns. Returns
+    the kernel and a degeneracy flag (True if every layer was silent).
     """
     b = layer_trains[0].shape[0]
     kernel = np.zeros((b, b))
     any_active = False
     for bits in layer_trains:
-        active = bits.any(axis=0)
-        n_active = int(active.sum())
+        n_active = int(np.count_nonzero(bits.any(axis=0)))
         if n_active == 0:
             continue
         any_active = True
-        sub = bits[:, active]
-        agree = sub @ sub.T + (1.0 - sub) @ (1.0 - sub).T
-        kernel += agree / max(1, n_active)
+        x = bits.astype(np.float32 if bits.shape[1] < _EXACT_F32_COLUMNS else np.float64)
+        gram = (x @ x.T).astype(np.float64)
+        r = np.diag(gram)
+        kernel += (n_active - r[:, None] - r + 2.0 * gram) / n_active
     return kernel, not any_active
 
 

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import SurrogateConfig, Tensor, lif_update, spike
+from .engine.ops import RESET_MODES
 
 LEAK_MIN = 1e-3
 LEAK_MAX = 1.0 - 1e-3
 THRESHOLD_MIN = 1e-2
-
-RESET_MODES = ("soft", "hard")
 
 
 def init_violations(leak: float, threshold: float) -> list[str]:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tempospike import nas
 from tempospike.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from tempospike.data import load_dataset
 from tempospike.graph import (ArchSpec, LayerSpec, Network, load_spec, mlp_spec, save_spec,
@@ -161,6 +163,29 @@ class TestSearch:
         assert len(report) == 3
         spec = load_spec(out / "spec_rank1.json")
         assert spec.T == 6
+
+    def test_probe_and_report_match_recorded_values(self, tmp_path, monkeypatch):
+        # the probe is drawn one step at a time; the digest and report were
+        # recorded when it was drawn as one float64 array
+        seen = []
+        real = nas.random_search
+
+        def spy(space, n, probe, k, **kwargs):
+            seen.append(probe)
+            return real(space, n, probe, k, **kwargs)
+
+        monkeypatch.setattr(nas, "random_search", spy)
+        out = tmp_path / "search"
+        assert main(["search", "--space", str(self._space_file(tmp_path)),
+                     "--n", "4", "--k", "2", "--probe-batch", "6",
+                     "--seed", "2", "--out", str(out)]) == EXIT_OK
+        (probe,) = seen
+        assert probe.dtype == bool and probe.shape == (6, 6, 6)
+        assert hashlib.sha256(probe.tobytes()).hexdigest()[:24] == "97e203ba937dd524fc5583aa"
+        assert (out / "report.csv").read_text() == (
+            "rank,score,params,depth,tskips,spec_path\n"
+            "1,-16.823649,134,2,1,spec_rank1.json\n"
+            "2,-28.441944,96,3,1,spec_rank2.json\n")
 
     def test_parallel_equals_serial(self, tmp_path):
         space = self._space_file(tmp_path)

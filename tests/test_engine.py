@@ -1,3 +1,4 @@
+import hashlib
 import math
 import platform
 import resource
@@ -873,7 +874,91 @@ class TestTapeKeys:
             outer.backward(y)
 
 
+def _digest(*arrays) -> str:
+    """sha256 over each array's dtype, shape and bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# lif_scan's outputs, final (membrane, spikes), drive/leak/threshold gradients
+# and Tape.grad_norm over seeds 0-2, recorded before the forward loop wrote
+# into preallocated rows (numpy 2.4.6, OpenBLAS 0.3.31; another build may
+# round an arctan or a dot product differently). Keyed by (reset mode, spike
+# mode, setting, whether a previous call's state is the initial one).
+LIF_SCAN_DIGESTS = {
+    ("soft", "hard", "taped", False): "6e79189cc404ddb8854f18af",
+    ("soft", "hard", "free64", False): "d6dd5393865e6125043cbb57",
+    ("soft", "hard", "free64", True): "37019231b0fe45dabbcb1925",
+    ("soft", "hard", "free32", False): "ce4c1b11f8a460c701254946",
+    ("soft", "hard", "free32", True): "f0d4081c9e5dec23f065c9f6",
+    ("soft", "soft", "taped", False): "c59da825586871c6425b8a2e",
+    ("soft", "soft", "free64", False): "c7270fe582b032e949b74e9c",
+    ("soft", "soft", "free64", True): "afa7a25db935614a622cfdad",
+    ("soft", "soft", "free32", False): "98f22e976bd66908828db08e",
+    ("soft", "soft", "free32", True): "2820f69c38f9e083c259c1f4",
+    ("hard", "hard", "taped", False): "0049f28e91b9dffe9c3ec877",
+    ("hard", "hard", "free64", False): "187cd59791e56586457ba3f5",
+    ("hard", "hard", "free64", True): "71dc50c7104d54a0299b8f8e",
+    ("hard", "hard", "free32", False): "e1fc5414e96e906940ec9ebd",
+    ("hard", "hard", "free32", True): "c46f8e9cc24be472dd5b93b5",
+    ("hard", "soft", "taped", False): "cefe284c6ec3f2667d5a6274",
+    ("hard", "soft", "free64", False): "e8c6900d75c5b5a29478fecd",
+    ("hard", "soft", "free64", True): "87ccdb38747c9378824829f3",
+    ("hard", "soft", "free32", False): "55234ffb158485b2b92c21a8",
+    ("hard", "soft", "free32", True): "1d182c4a77b0b6151247b11f",
+}
+
+
 class TestLifScan:
+    @pytest.mark.parametrize("key", sorted(LIF_SCAN_DIGESTS), ids=str)
+    def test_values_match_recorded_digests(self, key):
+        reset_mode, spike_mode, setting, with_init = key
+        dtype = np.float32 if setting == "free32" else np.float64
+        parts = []
+        for seed in (0, 1, 2):
+            rng = np.random.default_rng(seed)
+            steps, batch, width = 7, 3, 5
+            drive = rng.normal(0.6, 0.8, size=(steps * batch, width)).astype(dtype)
+            leak = Tensor(np.asarray(rng.uniform(0.5, 0.95), dtype), requires_grad=True)
+            th = Tensor(np.asarray(rng.uniform(0.6, 1.2), dtype), requires_grad=True)
+            cfg = SurrogateConfig(2.0)
+            init = None
+            if with_init:
+                pre = rng.normal(0.6, 0.8, size=(2 * batch, width)).astype(dtype)
+                init = lif_scan(Tensor(pre), leak, th, 2, reset_mode, cfg, spike_mode)[1]
+            d = Tensor(drive, requires_grad=True)
+            if setting == "taped":
+                weights = rng.normal(size=drive.shape)
+                with Tape() as tape:
+                    out, state = lif_scan(d, leak, th, steps, reset_mode, cfg, spike_mode)
+                    loss = (out * Tensor(weights)).sum()
+                grads = tape.backward(loss)
+                parts += [out.data, *state, grads[d], grads[leak], grads[th], tape.grad_norm]
+            else:
+                out, state = lif_scan(d, leak, th, steps, reset_mode, cfg, spike_mode, init)
+                parts += [out.data, *state]
+            assert out.data.dtype == dtype
+            assert 0 < out.data.sum() < out.size
+        assert _digest(*parts)[:24] == LIF_SCAN_DIGESTS[key]
+
+    @pytest.mark.parametrize("op", ["lif_scan", "lif_update"])
+    def test_unknown_reset_mode_refused_before_any_work(self, op):
+        # no tensor is read: each argument is None
+        with pytest.raises(ValueError, match="unknown reset mode 'x'"):
+            if op == "lif_scan":
+                lif_scan(None, None, None, 2, "x", SurrogateConfig())
+            else:
+                lif_update(None, None, None, None, None, "x")
+
+    def test_reset_modes_have_one_source(self):
+        from tempospike import neuron
+
+        assert neuron.RESET_MODES is ops.RESET_MODES == ("soft", "hard")
+
     @pytest.mark.parametrize("reset_mode", ["soft", "hard"])
     @pytest.mark.parametrize("spike_mode", ["hard", "soft"])
     def test_chunks_with_carried_state_equal_one_scan(self, reset_mode, spike_mode):

@@ -149,7 +149,56 @@ class TestPresets:
             preset_space("imagenet")
 
 
+def gather_kernel(layer_trains):
+    """The SAHD kernel as first defined: per layer, gather the columns where any
+    sample spiked, count ones in common plus zeros in common in float64, and
+    divide by the number of those columns."""
+    b = layer_trains[0].shape[0]
+    kernel = np.zeros((b, b))
+    any_active = False
+    for bits in layer_trains:
+        bits = np.asarray(bits, dtype=np.float64)
+        active = bits.any(axis=0)
+        n_active = int(active.sum())
+        if n_active == 0:
+            continue
+        any_active = True
+        sub = bits[:, active]
+        kernel += (sub @ sub.T + (1.0 - sub) @ (1.0 - sub).T) / n_active
+    return kernel, not any_active
+
+
 class TestSahdKernel:
+    @pytest.mark.parametrize("case", ["random", "one silent layer", "every layer silent"])
+    @pytest.mark.parametrize("dtype", [np.float64, bool])
+    @pytest.mark.parametrize("f32_columns", [nas._EXACT_F32_COLUMNS, 1])
+    def test_equals_gather_definition(self, case, dtype, f32_columns, monkeypatch):
+        # bit for bit, with the float32 product and (below a lowered bound) the
+        # float64 one
+        monkeypatch.setattr(nas, "_EXACT_F32_COLUMNS", f32_columns)
+        rng = np.random.default_rng(17)
+        trains = [rng.random((9, w)) < rate for w, rate in ((40, 0.3), (700, 0.05), (3, 0.5))]
+        if case == "one silent layer":
+            trains[1][:] = False
+        elif case == "every layer silent":
+            trains = [np.zeros_like(t) for t in trains]
+        trains = [t.astype(dtype) for t in trains]
+        kernel, degenerate = sahd_kernel(trains)
+        expected, expected_degenerate = gather_kernel(trains)
+        assert degenerate == expected_degenerate == (case == "every layer silent")
+        assert kernel.dtype == np.float64
+        assert np.array_equal(kernel, expected)
+
+    def test_binarized_layers_equal_gather_definition(self):
+        # the layers as sahd_score hands them over: [T, B, ...] float32 spikes
+        rng = np.random.default_rng(18)
+        seqs = [(rng.random((6, 5, 4, 3)) < 0.2).astype(np.float32),
+                (rng.random((6, 5, 11)) < 0.4).astype(np.float32)]
+        trains = [nas._binarize(seq) for seq in seqs]
+        assert [t.dtype for t in trains] == [np.bool_, np.bool_]
+        assert [t.shape for t in trains] == [(5, 72), (5, 66)]
+        assert np.array_equal(sahd_kernel(trains)[0], gather_kernel(trains)[0])
+
     def test_identical_probes_rank_one_minimal(self):
         space = tiny_space(tskip_count_range=(0, 0))
         spec = sample(space, np.random.default_rng(7))

@@ -85,3 +85,35 @@ def test_workloads_read_boolean_inputs(tmp_path, monkeypatch):
     assert visual.inputs.dtype == recall.inputs.dtype == probe.dtype == bool
     assert visual.inputs.shape == (4, 5, 2, 16, 16) and visual.inputs.any()
     assert recall.inputs.shape == (4, 99, 11) and probe.shape[1] == ShdSearch.probe_batch
+
+
+def test_search_metrics_find_the_functions_they_read(monkeypatch):
+    # perfbench reads nas.kernel_ms, nas.build_ms and nas.forward_ms from the
+    # spans of nas.sahd_kernel, graph.Network.build and graph.run_forward
+    # under nas.sahd_score, and counts draws under nas.sample; a rename or a
+    # new call path would leave a metric reading 0
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from metrics import SpanTotals, per_layer
+    from tracing import Tracer
+
+    from tempospike import nas
+
+    space = nas.SearchSpace(input_shape=(8,), out_units=3, T=5, depth_range=(2, 3),
+                            width_range=(4, 8), delta_t_range=(1, 3))
+    probe = np.random.default_rng(5).random((5, 4, 8)) < 0.3
+    tracer = Tracer()
+    tracer.install()
+    try:
+        with tracer.span("bench.search"):
+            nas.random_search(space, 3, probe, 1, master_seed=2)
+    finally:
+        tracer.restore()
+    spans = tracer.take()
+    totals = SpanTotals()
+    totals.add(spans)
+    names = Counter(name for name, *_ in spans)
+    assert names["nas.sample"] == names["nas.sahd_score"] == names["nas.sahd_kernel"] == 3
+    for name in ("graph.Network.build", "graph.run_forward.eval"):
+        assert totals.under[("bench.search", "nas.sahd_score", name)][0] == 3
+    m = per_layer(totals, tracer.counts, tracer.samples, "candidate", 3, 0, 0.0)
+    assert all(m[key] > 0 for key in ("nas.kernel_ms", "nas.build_ms", "nas.forward_ms"))
