@@ -143,7 +143,7 @@ def cmd_search(args) -> int:
             fields = json.loads(Path(args.space).read_text(encoding="utf-8"))
             space = nas.SearchSpace(**{k: tuple(v) if isinstance(v, list) else v
                                        for k, v in fields.items()})
-        except (OSError, AttributeError, TypeError, ValueError) as err:
+        except (OSError, AttributeError, TypeError, ValueError, RecursionError) as err:
             raise nas.SearchError(f"cannot load search space {args.space}: {err}") from None
     elif args.preset:
         overrides = {}
@@ -185,14 +185,13 @@ def _apply_ablation(spec: ArchSpec, axis: str, value: int) -> ArchSpec:
             raise GraphError("position sweep needs a spec with at least one skip edge")
         edges = (replace(spec.tskips[0], dest=value),) + spec.tskips[1:]
         return replace(spec, tskips=edges)
-    if axis == "depth":
-        hidden = spec.layers[0]
-        readout = spec.layers[-1]
-        layers = tuple([hidden] * (value - 1) + [readout])
-        edges = tuple(replace(e, dest=min(e.dest, value), origin=min(e.origin, value))
-                      for e in spec.tskips)
-        return replace(spec, layers=layers, tskips=edges)
-    raise UsageError(f"unknown ablation axis {axis!r}")
+    # depth, the last of the parser's three --axis choices
+    hidden = spec.layers[0]
+    readout = spec.layers[-1]
+    layers = tuple([hidden] * (value - 1) + [readout])
+    edges = tuple(replace(e, dest=min(e.dest, value), origin=min(e.origin, value))
+                  for e in spec.tskips)
+    return replace(spec, layers=layers, tskips=edges)
 
 
 def cmd_ablate(args) -> int:
@@ -212,7 +211,7 @@ def cmd_ablate(args) -> int:
     for value in grid:
         try:
             spec = _apply_ablation(base_spec, args.axis, value)
-        except (GraphError, UsageError) as err:
+        except GraphError as err:
             rows.append(f"{args.axis},{value},invalid ({err}),,,,")
             continue
         violations = validate(spec)
@@ -333,16 +332,13 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (SpecValidationError,) as err:
+    except SpecValidationError as err:
         print(f"validation error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (DataError, GraphError, nas.SearchError) as err:
-        print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except DivergenceError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except TrainError as err:
+    except (DataError, GraphError, nas.SearchError, TrainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
     except MemoryError as err:  # sizes under MAX_DATASET_BYTES can still exceed RAM

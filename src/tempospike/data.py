@@ -438,7 +438,8 @@ def load_dataset(manifest_path) -> Dataset:
         (unit_of, ts), counts, error = _read_tables(
             [_read_sample(path.parent, name) for name in files], ("x", "t"), "spike",
             _SPIKE_CHECKS)
-    except (OSError, AttributeError, KeyError, TypeError, ValueError, OverflowError) as err:
+    except (OSError, AttributeError, KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as err:
         raise DataError(f"cannot load dataset {path}: {err!r}") from None
     # each sample's own checks, in file order, over the files read before a
     # bad line; ``np.maximum.reduceat`` would read an empty file as one row

@@ -38,7 +38,6 @@ from .tensor import (
     matmul,
     mean_all,
     mul,
-    neg,
     reshape,
     stack,
     sub,
@@ -70,7 +69,6 @@ __all__ = [
     "mean_all",
     "mse",
     "mul",
-    "neg",
     "normalized_drive",
     "relu",
     "reshape",

@@ -78,26 +78,8 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, _coerce(other))
 
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
     def __mul__(self, other):
         return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _coerce(other))
 
     def sum(self) -> "Tensor":
         return sum_all(self)
@@ -252,10 +234,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return record((a, b), a.data / b.data, back)
-
-
-def neg(a: Tensor) -> Tensor:
-    return record((a,), -a.data, lambda g: (-g,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -408,6 +408,14 @@ class Network:
                 shortcuts.append(tuple(drawn.tolist()))
         return cls(spec, params, state, shortcuts, seed)
 
+    def float32(self) -> "Network":
+        """A copy with float32 parameters and running statistics, which
+        ``run_forward`` runs only in eval mode without a tape; nothing trains
+        or saves it."""
+        params = {k: Tensor(p.data.astype(np.float32), name=k) for k, p in self.params.items()}
+        state = {k: v.astype(np.float32) for k, v in self.state.items()}
+        return Network(self.spec, params, state, self.shortcuts, self.seed)
+
     def lif_params(self, layer_index: int) -> LifParams:
         return LifParams(
             leak=self.params[f"L{layer_index}.leak"],
@@ -419,8 +427,7 @@ class Network:
 def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
                 spike_mode: str = "hard", surr: SurrogateConfig | None = None,
                 dropout: float = 0.0, rng: np.random.Generator | None = None,
-                collect: dict[int, np.ndarray | None] | None = None,
-                dtype=np.float64) -> ForwardResult:
+                collect: dict[int, np.ndarray | None] | None = None) -> ForwardResult:
     """Run the network over the full sequence.
 
     ``x`` has shape [T, batch, ...input]. The sequence runs in chunks of C
@@ -435,25 +442,25 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
     products; dropout draws one mask per layer per chunk. ``collect``
     maps layer indices in [0, depth] to slots that receive that layer's raw
     output sequence as a [T, batch, ...] array; layer 0 receives ``x`` cast
-    to ``dtype``.
+    to the pass's dtype.
 
-    The pass runs in ``dtype``, float64 or float32; ``x`` is cast to it once.
-    A float32 pass runs on float32 copies of the parameters and only in eval
-    mode without a tape, so that no gradient, checkpoint or running
-    statistic ever sees float32.
+    The pass runs in the dtype of the network's parameters, and ``x`` is
+    cast to it once: float64 for a network that ``Network.build`` or a
+    checkpoint makes, float32 for one from ``Network.float32``, which runs
+    only in eval mode without a tape, so that no gradient, checkpoint or
+    running statistic ever sees float32.
     """
     spec = net.spec
     if mode not in ("train", "eval"):
         raise GraphError(f"mode must be 'train' or 'eval', got {mode!r}")
-    dtype = _pass_dtype(dtype)
+    dtype = next(iter(net.params.values())).data.dtype
     if dtype == np.float32:
         if mode != "eval":
-            raise GraphError(f"a float32 pass runs in eval mode only, got mode {mode!r}: "
-                             "training would update cast copies of the running statistics")
+            raise GraphError(f"a float32 network runs in eval mode only, got mode {mode!r}: "
+                             "training would update its cast running statistics")
         if active_tape() is not None:
-            raise GraphError("a float32 pass runs without a tape only: its gradients "
+            raise GraphError("a float32 network runs without a tape only: its gradients "
                              "would not reach the float64 parameters")
-        net = _cast_network(net, dtype)
     if x.shape[0] != spec.T:
         raise GraphError(f"input time dim {x.shape[0]} != spec.T {spec.T}")
     if tuple(x.shape[2:]) != spec.input_shape:
@@ -474,17 +481,6 @@ def run_forward(net: Network, x: np.ndarray, mode: str = "eval",
     return result
 
 
-def _pass_dtype(dtype) -> np.dtype:
-    """``dtype`` as a numpy dtype if it is float32 or float64, else ``GraphError``."""
-    try:
-        resolved = np.dtype(dtype)
-    except (TypeError, ValueError):
-        resolved = np.dtype(object)
-    if dtype is None or resolved not in (np.float32, np.float64):
-        raise GraphError(f"a pass runs in float32 or float64, got dtype {dtype!r}")
-    return resolved
-
-
 def cast_input(x: np.ndarray, dtype=np.float64) -> np.ndarray:
     """``x`` as a C-contiguous array of ``dtype``, copied only if it is not
     one already; this is the one place a batch of spikes becomes float.
@@ -499,14 +495,6 @@ def cast_input(x: np.ndarray, dtype=np.float64) -> np.ndarray:
                  if cast.dtype == np.float32 else "")
         raise GraphError(f"input holds non-finite values{where}")
     return cast
-
-
-def _cast_network(net: Network, dtype: np.dtype) -> Network:
-    """``net`` with its parameters and running statistics cast to ``dtype``
-    copies, which nothing trains or saves."""
-    params = {k: Tensor(p.data.astype(dtype), name=k) for k, p in net.params.items()}
-    state = {k: v.astype(dtype) for k, v in net.state.items()}
-    return Network(net.spec, params, state, net.shortcuts, net.seed)
 
 
 def _chunk_steps(spec: ArchSpec) -> int:
@@ -783,7 +771,7 @@ def dumps_spec(spec: ArchSpec) -> str:
 def loads_spec(text: str) -> ArchSpec:
     try:
         d = json.loads(text)
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:
         raise GraphError(f"spec is not valid JSON: {err}") from None
     return spec_from_dict(d)
 
@@ -797,6 +785,6 @@ def load_spec(path) -> ArchSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise GraphError(f"cannot read spec: {err}") from None
     return loads_spec(text)

@@ -11,11 +11,12 @@ probes produce diverse spike patterns get well-conditioned kernels and high
 scores; networks that collapse probes onto identical patterns are rank
 deficient and score near the regularization floor.
 
-The forward pass runs in float32 without a tape, and each layer's spikes
-become booleans once. A layer's kernel comes from one Gram product of its
-bits, in float32 below 2**24 columns, where every sum of 0/1 values is exact:
-silent columns add nothing to it, so the agreements over active columns
-follow from it and the spike counts exactly.
+The forward pass runs without a tape on the network's float32 copy
+(``Network.float32``), and each layer's spikes become booleans once. A
+layer's kernel comes from one Gram product of its bits, in float32 below
+2**24 columns, where every sum of 0/1 values is exact: silent columns add
+nothing to it, so the agreements over active columns follow from it and the
+spike counts exactly.
 """
 
 from __future__ import annotations
@@ -201,17 +202,17 @@ def sahd_kernel(layer_trains: list[np.ndarray]) -> tuple[np.ndarray, bool]:
 
 def sahd_score(spec: ArchSpec, probe_batch: np.ndarray, seed: int = 0) -> CandidateScore:
     """Score an untrained architecture by the diversity of the spike patterns
-    its initialization produces on a probe batch. The forward pass runs in
-    float32: the score reads only which neurons cross threshold, and the
-    kernel and its log-determinant stay float64."""
+    its initialization produces on a probe batch. The forward pass runs on
+    the network's float32 copy: the score reads only which neurons cross
+    threshold, and the kernel and its log-determinant stay float64."""
     if probe_batch.shape[1] < 2:
         raise SearchError("probe batch must contain at least 2 samples")
-    net = Network.build(spec, seed=seed)
+    net = Network.build(spec, seed=seed).float32()
     lif_layers = [i for i, l in enumerate(spec.layers, start=1) if l.activation == "lif"]
     if not lif_layers:
         raise SearchError("architecture has no spiking layers to score")
     per_layer: dict[int, np.ndarray | None] = {i: None for i in lif_layers}
-    run_forward(net, probe_batch, mode="eval", collect=per_layer, dtype=np.float32)
+    run_forward(net, probe_batch, mode="eval", collect=per_layer)
     trains = [_binarize(per_layer.pop(l)) for l in sorted(per_layer)]
     kernel, degenerate = sahd_kernel(trains)
     b = kernel.shape[0]

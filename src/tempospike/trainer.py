@@ -410,7 +410,7 @@ def load_checkpoint(path) -> tuple[Network, dict]:
     arrays = _read_npz(path)
     try:
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    except (KeyError, ValueError) as err:
+    except (KeyError, ValueError, RecursionError) as err:
         raise TrainError(f"checkpoint {path} has no readable 'meta' record") from err
     if not isinstance(meta, dict):
         raise TrainError(f"checkpoint {path} meta must be a JSON object")

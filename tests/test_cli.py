@@ -10,8 +10,8 @@ import pytest
 from tempospike import nas
 from tempospike.cli import EXIT_DIVERGENCE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from tempospike.data import load_dataset
-from tempospike.graph import (ArchSpec, LayerSpec, Network, load_spec, mlp_spec, save_spec,
-                              spec_to_dict, TSkip)
+from tempospike.graph import (ArchSpec, LayerSpec, Network, load_spec, mlp_spec, param_count,
+                              save_spec, spec_to_dict, TSkip)
 from tempospike.trainer import TrainConfig, TrainError, load_checkpoint, save_checkpoint
 
 
@@ -208,6 +208,19 @@ class TestSearch:
         for e in spec.tskips:
             assert 10 <= e.delta_t <= 45
 
+    def test_budget_overrides_the_preset(self, tmp_path, capsys):
+        out = tmp_path / "budget"
+        code = main(["search", "--preset", "shd", "--budget", "60000", "--n", "3", "--k", "3",
+                     "--probe-batch", "2", "--out", str(out)])
+        assert code == EXIT_OK
+        params = [param_count(load_spec(out / f"spec_rank{r}.json")) for r in (1, 2, 3)]
+        assert all(p <= 60_000 for p in params), params
+        capsys.readouterr()
+        assert main(["search", "--preset", "shd", "--budget", "1", "--n", "1", "--k", "1",
+                     "--out", str(tmp_path / "none")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == ("error: no admissible architecture found in 1000 "
+                                           "attempts; the budget may be infeasible\n")
+
     def test_needs_preset_or_space(self, tmp_path):
         assert main(["search", "--n", "2", "--k", "1",
                      "--out", str(tmp_path / "x")]) == EXIT_USAGE
@@ -244,6 +257,34 @@ class TestAblate:
         assert code == EXIT_OK
         rows = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(rows) == 4
+
+    def test_delta_t_sweep_of_a_spec_without_skips_writes_invalid_rows(self, tmp_path, tiny_data,
+                                                                      tiny_spec):
+        out = tmp_path / "sweep"
+        code = main(["ablate", "--axis", "delta_t", "--grid", "1", "--spec", str(tiny_spec),
+                     "--data", str(tiny_data / "train"), "--epochs", "1", "--out", str(out)])
+        assert code == EXIT_OK
+        assert (out / "sweep.csv").read_text().splitlines()[1:] == [
+            "delta_t,1,invalid (delta_t sweep needs a spec with at least one skip edge),,,,"]
+
+    def test_diverging_sweep_writes_a_row_per_grid_point(self, tmp_path, tiny_data):
+        spec_path = tmp_path / "spec.json"
+        save_spec(mlp_spec([4, 8, 3], T=6, tskips=[TSkip(0, 1, 1)]), spec_path)
+        out = tmp_path / "sweep"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["ablate", "--axis", "delta_t", "--grid", "1,2,6",
+                         "--spec", str(spec_path), "--data", str(tiny_data / "train"),
+                         "--epochs", "2", "--batch", "3", "--lr", "1e300", "--out", str(out)])
+        assert code == EXIT_OK
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert rows[0] == "axis,value,status,accuracy,loss,spike_rate,energy_mj"
+        assert [r.split(",")[1] for r in rows[1:]] == ["1", "2", "6"]
+        for row in rows[1:3]:
+            assert row.startswith(f"delta_t,{row.split(',')[1]},diverged (training diverged "
+                                  "at epoch 0, iteration 1: non-finite ")
+            assert row.endswith("),,,,")
+        assert rows[3] == ("delta_t,6,invalid (edge 0->1 (dt=6): delay exceeds sequence "
+                           "length (delta_t must be < T=6)),,,,")
 
     def test_empty_grid_is_usage_error(self, tmp_path, tiny_data, tiny_spec):
         code = main(["ablate", "--axis", "delta_t", "--grid", ",",
@@ -383,6 +424,16 @@ def _meta(edit):
     return apply
 
 
+# JSON nested deeper than the parser's recursion limit
+NESTED = "[" * 100_000
+
+
+def _written(path, content):
+    """``path`` after ``content``, text or bytes, is written to it."""
+    (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+    return path
+
+
 def _synth(*flags):
     return ["synth", "--D", "2", "--T", "6", "--n", "4", "--n-test", "2", *flags]
 
@@ -419,6 +470,11 @@ BROKEN_INPUTS = {
     "spec edge alpha_init NaN": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp, tskips=[{"origin": 0, "dest": 1, "delta_t": 1, "alpha": True,
                                  "alpha_init": float("nan")}]), data / "train")),
+    "spec nested 100000 deep": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _written(tmp / "nested.json", NESTED), data / "train")),
+    "spec not UTF-8": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _written(tmp / "utf16.json", b"\xff\xfe" + json.dumps({}).encode("utf-16-le")),
+        data / "train")),
     "missing spec file": (EXIT_VALIDATION, lambda tmp, data: _train(
         tmp / "absent.json", data / "train")),
     "missing data directory": (EXIT_VALIDATION, lambda tmp, data: _train(
@@ -442,6 +498,8 @@ BROKEN_INPUTS = {
         _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(T=10**13)))),
     "manifest window_us a string": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp), _edit_manifest(data / "train", lambda m: m.update(window_us="6")))),
+    "manifest nested 100000 deep": (EXIT_VALIDATION, lambda tmp, data: _train(
+        _spec_file(tmp), _written(data / "train" / "manifest.json", NESTED))),
     "manifest a list": (EXIT_VALIDATION, lambda tmp, data: _train(
         _spec_file(tmp), _manifest_in_a_list(data / "train"))),
     "manifest samples a number": (EXIT_VALIDATION, lambda tmp, data: _train(
@@ -518,6 +576,9 @@ BROKEN_INPUTS = {
     "checkpoint meta without spec": (EXIT_VALIDATION, lambda tmp, data: _energy(
         _checkpoint(tmp, edit=_meta(lambda m: {k: v for k, v in m.items() if k != "spec"})),
         data)),
+    "checkpoint meta nested 100000 deep": (EXIT_VALIDATION, lambda tmp, data: _energy(
+        _checkpoint(tmp, edit=lambda a: a.update(
+            meta=np.frombuffer(NESTED.encode("utf-8"), dtype=np.uint8))), data)),
     "checkpoint seed a string": (EXIT_VALIDATION, lambda tmp, data: _energy(
         _checkpoint(tmp, edit=_meta(lambda m: {**m, "seed": "abc"})), data)),
     "checkpoint seed negative": (EXIT_VALIDATION, lambda tmp, data: _energy(
@@ -526,6 +587,8 @@ BROKEN_INPUTS = {
         _checkpoint(tmp, edit=_meta(lambda m: {**m, "seed": True})), data)),
     "space file with an unknown field": (EXIT_VALIDATION, lambda tmp, data: _search(
         _space_file(tmp, colour="blue"))),
+    "space nested 100000 deep": (EXIT_VALIDATION, lambda tmp, data: _search(
+        _written(tmp / "space.json", NESTED))),
     "space param_budget NaN": (EXIT_VALIDATION, lambda tmp, data: _search(
         _space_file(tmp, param_budget=math.nan))),
     "space threshold_init NaN": (EXIT_VALIDATION, lambda tmp, data: _search(

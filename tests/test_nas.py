@@ -353,13 +353,13 @@ class TestFloat32Scores:
     ranking must agree with float64 ones."""
 
     @staticmethod
-    def search(probe, dtype=None, monkeypatch=None):
-        # a reduced ``shd`` preset: shorter window, fewer inputs, narrower layers
+    def search(probe, monkeypatch=None):
+        # a reduced ``shd`` preset: shorter window, fewer inputs, narrower layers;
+        # with ``monkeypatch``, every candidate is scored on its float64 network
         space = preset_space("shd", T=30, input_shape=(120,), width_range=(16, 96),
                              delta_t_range=(3, 12), param_budget=60_000)
-        if dtype is not None:
-            monkeypatch.setattr(nas, "run_forward", lambda *args, **kwargs: graph.run_forward(
-                *args, **{**kwargs, "dtype": dtype}))
+        if monkeypatch is not None:
+            monkeypatch.setattr(graph.Network, "float32", lambda net: net)
         return random_search(space, 8, probe, 8, master_seed=2)
 
     @pytest.mark.parametrize("probe_seed", [0, 1, 2])
@@ -367,7 +367,7 @@ class TestFloat32Scores:
         rng = np.random.default_rng(probe_seed)
         probe = (rng.random((30, 12, 120)) < 0.1).astype(np.float64)
         lo = self.search(probe)
-        hi = self.search(probe, np.float64, monkeypatch)
+        hi = self.search(probe, monkeypatch)
         assert [c.spec for c in lo[:3]] == [c.spec for c in hi[:3]]
         scores = {c.seed: c.score for c in hi}
         assert all(abs(c.score - scores[c.seed]) <= 1e-2 for c in lo)
@@ -376,7 +376,7 @@ class TestFloat32Scores:
         seen = []
 
         def spy(net, x, **kwargs):
-            seen.append((x, kwargs["dtype"]))
+            seen.append((x, net.params["L1.w"].data.dtype))
             return graph.run_forward(net, x, **kwargs)
 
         monkeypatch.setattr(nas, "run_forward", spy)
